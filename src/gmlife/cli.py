@@ -31,12 +31,14 @@ import sys
 import numpy as np
 
 from . import life, oracle
+from .life import _commutation
 from .mortality import GmParams, mortality_rate, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
+_DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 
 
 class _UsageError(Exception):
@@ -112,14 +114,11 @@ def _quad_tol(closed_value: float, verify_tol: float) -> float:
     return max(0.01 * verify_tol, 1e-12) * abs(closed_value) + 1e-300
 
 
-def _one_row(params: GmParams, args, x: float, rng) -> tuple[dict, bool]:
+def _one_row(params: GmParams, args, x: float, rng) -> dict:
     row: dict[str, float] = {"x": x}
     row["l"] = survival(params, x)
     row["mu"] = mortality_rate(params, x)
-    row["D"] = life.commutation_d(params, args.delta, x)
-    a_bar = life.annuity(params, args.delta, x)
-    row["N"] = row["D"] * a_bar
-    row["M"] = row["D"] - args.delta * row["N"]
+    row["D"], row["N"], row["M"], a_bar = _commutation(params, args.delta, x)
     row["a_bar"] = a_bar
     row["e_x"] = life.remaining_life(params, x)
     if args.double_rate:
@@ -130,7 +129,6 @@ def _one_row(params: GmParams, args, x: float, rng) -> tuple[dict, bool]:
     if args.diagnostics:
         row["ageing_factor"] = life.ageing_factor(params, args.delta, x)
         row["shape"] = life.positive_shape_check(params, args.delta)
-    failed = False
     if args.verify:
         q_a = oracle.integrate_survival(
             params, args.delta, x, tol=_quad_tol(a_bar, args.verify_tol))
@@ -140,23 +138,29 @@ def _one_row(params: GmParams, args, x: float, rng) -> tuple[dict, bool]:
         row["m_rel_diff"] = abs(row["M"] - q_m.value) / abs(q_m.value)
         est = oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
         row["e_x_mc_dev"] = abs(est.mean - row["e_x"]) / est.std_error
-        failed = (row["a_bar_rel_diff"] > args.verify_tol
-                  or row["m_rel_diff"] > args.verify_tol)
-    return row, failed
+    return row
 
 
-def _compute_rows(params: GmParams, args) -> tuple[list[dict], bool]:
+def _compute_rows(params: GmParams, args) -> list[dict]:
     rows = []
-    verify_failed = False
     rng = np.random.default_rng(args.seed)
     for x in _age_grid(args.x_min, args.x_max, args.step):
         try:
-            row, failed = _one_row(params, args, x, rng)
+            rows.append(_one_row(params, args, x, rng))
         except (OverflowError, ConvergenceError) as exc:
             raise _NumericalFailure(x, exc) from exc
-        rows.append(row)
-        verify_failed = verify_failed or failed
-    return rows, verify_failed
+    return rows
+
+
+def _verify_failure(rows: list[dict], tol: float) -> str | None:
+    # None when every verified difference is within tol
+    failed = [row for row in rows if any(row[c] > tol for c in _DIFF_COLUMNS)]
+    if not failed:
+        return None
+    diff, column, x = max((row[c], c, row["x"]) for row in failed
+                          for c in _DIFF_COLUMNS if row[c] > tol)
+    return (f"{len(failed)} of {len(rows)} rows exceed {tol}; worst is "
+            f"{column} = {diff:.3g} at age {x:g}")
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
@@ -182,14 +186,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows, verify_failed = _compute_rows(params, args)
+        rows = _compute_rows(params, args)
     except _NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure {exc}", file=sys.stderr)
         return 3
     _emit(rows, args.format, sys.stdout)
-    if verify_failed:
-        print(f"{parser.prog}: verification failed: some relative difference "
-              f"exceeds {args.verify_tol}", file=sys.stderr)
+    failure = _verify_failure(rows, args.verify_tol) if args.verify else None
+    if failure:
+        print(f"{parser.prog}: verification failed: {failure}", file=sys.stderr)
         return 4
     return 0
 

@@ -6,21 +6,30 @@ life annuity at force of interest delta is
     a_bar(x) = e0(alpha + delta, beta * e**(gamma_exp * x), gamma_exp)
 
 where e0 is the expected lifetime from age 0, which in turn has the
-closed form (writing a for the first basis parameter and z = beta/gamma)
+closed form (writing a for the first basis parameter, z = beta/gamma and
+Gamma(.,.) for the upper incomplete gamma function)
 
-    e0(a, beta, gamma) = (1/a) * (1 - z**(a/gamma) * e**z * Gamma(1 - a/gamma, z))
+    e0(a, beta, gamma) = z**(a/gamma) * e**z * Gamma(-a/gamma, z) / gamma
+                       = (1/a) * (1 - z**(a/gamma) * e**z * Gamma(1 - a/gamma, z))
 
-with Gamma(.,.) the upper incomplete gamma function.  Discounting is a
-shift of the flat hazard, and ageing by x years is a rescaling of beta,
-so every quantity here (life expectancy, annuity value, commutation
-functions) is a single gamma-function evaluation away.  No numerical
-integration is performed anywhere in this module.
+the second line being one partial integration of the first.  Discounting
+is a shift of the flat hazard, and ageing by x years is a rescaling of
+beta, so every quantity here (life expectancy, annuity value, ageing
+factor, commutation functions) comes from one gamma-function evaluation.
+No numerical integration is performed anywhere in this module.
 
-The product e**z * Gamma(eta, z) is evaluated by
-:func:`gmlife.special.exp_scaled_upper_inc_gamma` and powers are taken in
-log space, so values stay finite at ages where e**z itself would
-overflow.  Shapes 1 - a/gamma down to -10 are supported, covering bases
-where the combined hazard-plus-interest exceeds the ageing rate.
+Which line is evaluated depends on z.  For z >= 1 it is the first: there
+the continued fraction H of :mod:`gmlife.special` gives it as
+H(-a/gamma, z) / gamma exactly, with no subtraction and no power or
+exponential of z formed on its own, so values hold about 1e-14 relative
+accuracy long after survival has vanished (checked to z ~ 1e40).  The
+second line subtracts a number that tends to 1 as z grows, so it serves
+only for z < 1, where :func:`gmlife.special.exp_scaled_upper_inc_gamma`
+evaluates the product through the positive-shape gamma CDF or the
+shape-lifting recurrence; shapes 1 - a/gamma down to -10 are supported
+there, covering bases where the combined hazard-plus-interest exceeds the
+ageing rate.  At a = 0 the first line is used for every z, as
+e**z * E1(z) / gamma.
 """
 
 from __future__ import annotations
@@ -28,8 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mortality import GmParams, _check_age, survival
-from .special import exp_scaled_upper_inc_gamma
+from .mortality import GmParams, _check_age
+from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
+from .special import _upper_cf, exp_scaled_upper_inc_gamma
 
 __all__ = [
     "CommutationRow",
@@ -60,26 +70,34 @@ def _check_rate(delta: float) -> None:
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
 
 
-def _e0_core(a: float, beta: float, gam: float) -> float:
-    # Expected lifetime at combined flat hazard a = alpha + delta.
-    if beta == 0.0:
+def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
+    # (a_bar, xi) at age x and combined flat hazard a = alpha + delta,
+    # with a * a_bar = 1 - xi
+    if params.beta == 0.0:
         if a == 0.0:
             raise ValueError("alpha, beta and delta are all zero: value is infinite")
-        return 1.0 / a
-    z = beta / gam
-    if a == 0.0:
-        # pure Gompertz limit: e0 = e**z * E1(z) / gamma
-        return exp_scaled_upper_inc_gamma(0.0, z) / gam
+        return 1.0 / a, 0.0
+    gam = params.gamma_exp
+    z = params.beta * math.exp(gam * x) / gam
     ratio = a / gam
-    xi = math.exp(ratio * math.log(z)) * exp_scaled_upper_inc_gamma(1.0 - ratio, z)
-    # rounding can push xi a hair past 1 once z is astronomically large;
-    # the true value is always positive
-    return max((1.0 - xi) / a, 0.0)
+    if z >= 1.0:
+        # unintegrated form z**ratio * e**z * Gamma(-ratio, z) / gamma, which
+        # for z >= 1 is exactly the continued fraction H(-ratio, z) / gamma:
+        # nothing is subtracted and no power of z is formed on its own
+        a_bar = _upper_cf(-ratio, z) / gam
+    elif a == 0.0:
+        # the same form at shape 0: e**z * E1(z) / gamma
+        a_bar = exp_scaled_upper_inc_gamma(0.0, z) / gam
+    else:
+        xi = math.exp(ratio * math.log(z)) * exp_scaled_upper_inc_gamma(1.0 - ratio, z)
+        # rounding can push xi a hair past 1; the true a_bar is always positive
+        return max((1.0 - xi) / a, 0.0), xi
+    return a_bar, 1.0 - a * a_bar
 
 
 def e0(params: GmParams) -> float:
     """Expected lifetime from age 0; requires alpha + beta > 0."""
-    return _e0_core(params.alpha, params.beta, params.gamma_exp)
+    return _evaluate(params, params.alpha, 0.0)[0]
 
 
 def annuity(params: GmParams, delta: float, x: float) -> float:
@@ -91,12 +109,7 @@ def annuity(params: GmParams, delta: float, x: float) -> float:
     """
     _check_rate(delta)
     _check_age(x)
-    a = params.alpha + delta
-    if params.beta == 0.0:
-        beta_x = 0.0
-    else:
-        beta_x = params.beta * math.exp(params.gamma_exp * x)
-    return _e0_core(a, beta_x, params.gamma_exp)
+    return _evaluate(params, params.alpha + delta, x)[0]
 
 
 def remaining_life(params: GmParams, x: float) -> float:
@@ -113,36 +126,40 @@ def ageing_factor(params: GmParams, delta: float, x: float) -> float:
     """
     _check_rate(delta)
     _check_age(x)
-    a = params.alpha + delta
-    if a == 0.0:
+    if params.alpha + delta == 0.0:
         raise ValueError("ageing factor is undefined when alpha + delta = 0")
-    if params.beta == 0.0:
-        return 0.0
-    beta_x = params.beta * math.exp(params.gamma_exp * x)
-    gam = params.gamma_exp
-    z = beta_x / gam
-    ratio = a / gam
-    xi = math.exp(ratio * math.log(z)) * exp_scaled_upper_inc_gamma(1.0 - ratio, z)
+    xi = _evaluate(params, params.alpha + delta, x)[1]
     return min(max(xi, 0.0), 1.0)
 
 
 def commutation_d(params: GmParams, delta: float, x: float) -> float:
     """D(x) = l(x) * e**(-delta*x), i.e. survival at the rate-shifted basis."""
     _check_rate(delta)
-    shifted = GmParams(params.alpha + delta, params.beta, params.gamma_exp)
-    return survival(shifted, x)
+    _check_age(x)
+    a = params.alpha + delta
+    if params.beta == 0.0:
+        return math.exp(-a * x)
+    return math.exp(
+        -a * x - (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
+    )
+
+
+def _commutation(params: GmParams, rate: float, x: float) -> tuple[float, float, float, float]:
+    # D, N = D * a_bar and M = D - rate * N at one rate, plus the a_bar they share
+    d = commutation_d(params, rate, x)
+    a_bar = annuity(params, rate, x)
+    n = d * a_bar
+    return d, n, d - rate * n, a_bar
 
 
 def commutation_n(params: GmParams, delta: float, x: float) -> float:
     """N(x) = integral of D over [x, inf) = D(x) * a_bar(x)."""
-    return commutation_d(params, delta, x) * annuity(params, delta, x)
+    return _commutation(params, delta, x)[1]
 
 
 def commutation_m(params: GmParams, delta: float, x: float) -> float:
     """M(x) = integral of mu*D over [x, inf) = D(x) - delta * N(x)."""
-    d = commutation_d(params, delta, x)
-    n = d * annuity(params, delta, x)
-    return d - delta * n
+    return _commutation(params, delta, x)[2]
 
 
 def commutation_row(
@@ -155,9 +172,7 @@ def commutation_row(
     """
     _check_rate(delta)
     rate = 2.0 * delta if double_rate else delta
-    d = commutation_d(params, rate, x)
-    n = d * annuity(params, rate, x)
-    m = d - rate * n
+    d, n, m, _ = _commutation(params, rate, x)
     return CommutationRow(x=x, d_val=d, n_val=n, m_val=m)
 
 

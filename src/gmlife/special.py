@@ -207,38 +207,26 @@ def upper_inc_gamma_general(eta: float, z: float) -> float:
     z > 0 when eta <= 0 (the integral diverges at z = 0 there); z = 0 with
     eta > 0 gives the complete gamma function.
 
-    For eta > 0 this is Gamma(eta) * (1 - G(z; eta, 1)), with the
-    complementary part taken straight from the continued fraction when
-    z >= eta + 1 so no accuracy is lost to cancellation.  For eta <= 0 and
-    z < 1 the shape is lifted to positive through the partial-integration
-    recurrence (ceil(-eta) + 1 steps); exact non-positive integers descend
-    from E1(z) instead, sidestepping the poles of Gamma(eta).
+    For z >= max(1, eta + 1) the continued fraction gives it directly, in
+    log space.  Below that, positive shapes take
+    Gamma(eta) * (1 - G(z; eta, 1)) with G from its power series, and
+    non-positive shapes (z < 1 there, so e**-z is harmless) are e**-z times
+    :func:`exp_scaled_upper_inc_gamma`, which lifts the shape through the
+    partial-integration recurrence or descends from E1(z) at exact integers.
     """
     if math.isnan(eta) or math.isinf(eta) or math.isnan(z) or math.isinf(z):
         raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
     if z < 0.0:
         raise ValueError(f"argument must be >= 0, got {z!r}")
-    if eta > 0.0:
-        if z == 0.0:
-            return gamma_fn(eta)
-        if z >= eta + 1.0:
-            return math.exp(-z + eta * math.log(z)) * _upper_cf(eta, z)
-        return gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
     if z == 0.0:
+        if eta > 0.0:
+            return gamma_fn(eta)
         raise ValueError("argument must be > 0 when the shape is <= 0")
-    if z >= 1.0:
+    if z >= max(1.0, eta + 1.0):
         return math.exp(-z + eta * math.log(z)) * _upper_cf(eta, z)
-    if eta == round(eta):
-        val = _e1_series(z)
-        for j in range(1, int(-eta) + 1):
-            val = (val - math.exp(-j * math.log(z) - z)) / (-j)
-        return val
-    k = math.ceil(-eta) + 1
-    val = upper_inc_gamma_general(eta + k, z)
-    for j in range(k - 1, -1, -1):
-        s = eta + j
-        val = (val - math.exp(s * math.log(z) - z)) / s
-    return val
+    if eta > 0.0:
+        return gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
+    return math.exp(-z) * exp_scaled_upper_inc_gamma(eta, z)
 
 
 def exp_scaled_upper_inc_gamma(eta: float, z: float) -> float:

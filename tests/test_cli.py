@@ -144,11 +144,15 @@ class TestVerifyMode:
     def test_verify_fails_with_impossible_tolerance(self, capsys):
         code, out, err = run_cli(
             capsys, "--x-min", "0", "--x-max", "0", "--step", "1",
-            "--verify", "--verify-tol", "1e-16",
+            "--verify", "--verify-tol", "1e-16", "--format", "json",
         )
         assert code == 4
-        assert "verification failed" in err
-        assert out  # the table is still emitted
+        (row,) = json.loads(out)  # the table is still emitted
+        column = max(("a_bar_rel_diff", "m_rel_diff"), key=row.get)
+        assert err == (
+            "gmlife: verification failed: 1 of 1 rows exceed 1e-16; worst is "
+            f"{column} = {row[column]:.3g} at age 0\n"
+        )
 
     def test_verify_seed_changes_only_mc_column(self, capsys):
         _, out1, _ = run_cli(capsys, "--x-min", "0", "--x-max", "0", "--step", "1",

@@ -49,6 +49,24 @@ ROW_40_DOUBLE = {"d": 0.11401590226124948, "n": 1.8570078885679784,
 # the shape 1 - (alpha+delta)/gamma at BASIS/DELTA is quoted to six figures
 SHAPE_SIX_FIGURES = 0.727984
 
+# 50-digit mpmath values, by two routes that agree to 25 digits or more:
+# z**s * e**z * Gamma(-s, z) / gamma with mpmath.gammainc, and quadrature of
+# e**-u (1 + u/z)**-s / (gamma (z + u)) over [0, inf), where s = (alpha+delta)/gamma
+# and z = beta*e^(gamma*x)/gamma.  The last basis has shape 1 - s = -1.5.
+NEGATIVE_SHAPE_BASIS = GmParams(alpha=0.15, beta=0.0003, gamma_exp=0.08)
+HIGH_AGE_VALUES = [
+    (annuity, (BASIS, DELTA, 110.0), ANNUITY_110),
+    (annuity, (BASIS, DELTA, 200.0), 1.3206542537255526e-04),
+    (annuity, (BASIS, DELTA, 300.0), 5.2575742146073167e-09),
+    (annuity, (BASIS, DELTA, 500.0), 8.3322671171232089e-18),
+    (annuity, (BASIS, DELTA, 1000.0), 8.3312010373311254e-40),
+    (remaining_life, (BASIS, 200.0), 1.3206588859084694e-04),
+    (remaining_life, (BASIS, 300.0), 5.2575742153414629e-09),
+    (remaining_life, (BASIS, 500.0), 8.3322671171232089e-18),
+    (remaining_life, (BASIS, 1000.0), 8.3312010373311254e-40),
+    (annuity, (NEGATIVE_SHAPE_BASIS, 0.05, 200.0), 3.7507785475777879e-04),
+]
+
 
 class TestE0:
     def test_exponential_lifetime(self):
@@ -151,18 +169,23 @@ class TestAgeingFactor:
         assert ageing_factor(GmParams(0.01, 0.0, 0.1), 0.02, 50.0) == 0.0
 
     def test_relation_to_annuity(self):
-        for x in (0.0, 33.0, 80.0):
+        a = BASIS.alpha + DELTA
+        for x in (0.0, 33.0, 80.0, 150.0, 200.0, 300.0, 500.0, 1000.0):
             f = ageing_factor(BASIS, DELTA, x)
-            a = BASIS.alpha + DELTA
-            assert annuity(BASIS, DELTA, x) == pytest.approx((1.0 - f) / a, rel=1e-12)
+            # 1 - f is exact but inherits f's rounding near 1, about 1e-16
+            assert a * annuity(BASIS, DELTA, x) == pytest.approx(
+                1.0 - f, rel=1e-12, abs=1e-15)
 
     def test_approaches_one_at_extreme_age(self):
         f = ageing_factor(BASIS, DELTA, 150.0)
         assert 0.99 < f <= 1.0
 
     def test_in_unit_interval(self):
-        for x in (0.0, 40.0, 90.0):
+        for x in (0.0, 40.0, 90.0, 150.0, 200.0, 300.0):
             assert 0.0 <= ageing_factor(BASIS, DELTA, x) < 1.0
+        # from about age 446 on, 1 - factor is below half an ulp of 1
+        for x in (500.0, 1000.0):
+            assert ageing_factor(BASIS, DELTA, x) == 1.0
 
     def test_quadrature_rearrangement(self):
         a = BASIS.alpha + DELTA
@@ -324,4 +347,6 @@ class TestShapeRegimes:
         assert closed == pytest.approx(q.value, rel=1e-6)
 
     def test_frozen_high_age(self):
-        assert annuity(BASIS, DELTA, 110.0) == pytest.approx(ANNUITY_110, rel=1e-11)
+        # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40
+        for fn, args, expected in HIGH_AGE_VALUES:
+            assert fn(*args) == pytest.approx(expected, rel=1e-13), (fn.__name__, args)
