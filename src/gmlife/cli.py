@@ -87,6 +87,8 @@ def _validate(args) -> GmParams:
         raise _UsageError(str(exc)) from exc
     if math.isnan(args.delta) or math.isinf(args.delta) or args.delta < 0.0:
         raise _UsageError(f"--delta must be finite and >= 0, got {args.delta}")
+    if args.double_rate and math.isinf(2.0 * args.delta):
+        raise _UsageError(f"--double-rate needs 2 * delta finite, got {args.delta}")
     if args.alpha + args.beta <= 0.0:
         raise _UsageError("need alpha + beta > 0 (otherwise e_x is infinite)")
     if not (0.0 <= args.x_min <= args.x_max):
@@ -114,27 +116,23 @@ def _quad_tol(closed_value: float, verify_tol: float) -> float:
     return max(0.01 * verify_tol, 1e-12) * abs(closed_value) + 1e-300
 
 
-def _one_row(params: GmParams, args, x: float, rng) -> dict:
+def _one_row(params: GmParams, args, x: float, rng, shape: float | None) -> dict:
     row: dict[str, float] = {"x": x}
     row["l"] = survival(params, x)
     row["mu"] = mortality_rate(params, x)
-    row["D"], row["N"], row["M"], a_bar = _commutation(params, args.delta, x)
-    row["a_bar"] = a_bar
+    row["D"], row["N"], row["M"], row["a_bar"], xi = _commutation(params, args.delta, x)
     row["e_x"] = life.remaining_life(params, x)
     if args.double_rate:
-        double = life.commutation_row(params, args.delta, x, double_rate=True)
-        row["D2"] = double.d_val
-        row["N2"] = double.n_val
-        row["M2"] = double.m_val
+        row["D2"], row["N2"], row["M2"], _, _ = _commutation(params, 2.0 * args.delta, x)
     if args.diagnostics:
-        row["ageing_factor"] = life.ageing_factor(params, args.delta, x)
-        row["shape"] = life.positive_shape_check(params, args.delta)
+        row["ageing_factor"] = xi
+        row["shape"] = shape
     if args.verify:
         q_a = oracle.integrate_survival(
-            params, args.delta, x, tol=_quad_tol(a_bar, args.verify_tol))
+            params, args.delta, x, tol=_quad_tol(row["a_bar"], args.verify_tol))
         q_m = oracle.integrate_m(
             params, args.delta, x, tol=_quad_tol(row["M"], args.verify_tol))
-        row["a_bar_rel_diff"] = abs(a_bar - q_a.value) / abs(q_a.value)
+        row["a_bar_rel_diff"] = abs(row["a_bar"] - q_a.value) / abs(q_a.value)
         row["m_rel_diff"] = abs(row["M"] - q_m.value) / abs(q_m.value)
         est = oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
         row["e_x_mc_dev"] = abs(est.mean - row["e_x"]) / est.std_error
@@ -144,9 +142,10 @@ def _one_row(params: GmParams, args, x: float, rng) -> dict:
 def _compute_rows(params: GmParams, args) -> list[dict]:
     rows = []
     rng = np.random.default_rng(args.seed)
+    shape = life.positive_shape_check(params, args.delta) if args.diagnostics else None
     for x in _age_grid(args.x_min, args.x_max, args.step):
         try:
-            rows.append(_one_row(params, args, x, rng))
+            rows.append(_one_row(params, args, x, rng, shape))
         except (OverflowError, ConvergenceError) as exc:
             raise _NumericalFailure(x, exc) from exc
     return rows

@@ -30,6 +30,9 @@ shape-lifting recurrence; shapes 1 - a/gamma down to -10 are supported
 there, covering bases where the combined hazard-plus-interest exceeds the
 ageing rate.  At a = 0 the first line is used for every z, as
 e**z * E1(z) / gamma.
+
+There is one evaluation per rate: one gamma product gives D, N, M, a_bar
+and the ageing factor, and arguments are validated once, at the public API.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mortality import GmParams, _check_age
+from .mortality import GmParams, _check_age, _discounted_survival
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
 from .special import _upper_cf, exp_scaled_upper_inc_gamma
 
@@ -65,14 +68,15 @@ class CommutationRow:
     m_val: float
 
 
-def _check_rate(delta: float) -> None:
+def _check_args(delta: float, x: float = 0.0) -> None:
     if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
+    _check_age(x)
 
 
 def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     # (a_bar, xi) at age x and combined flat hazard a = alpha + delta,
-    # with a * a_bar = 1 - xi
+    # with a * a_bar = 1 - xi and xi clamped to [0, 1]
     if params.beta == 0.0:
         if a == 0.0:
             raise ValueError("alpha, beta and delta are all zero: value is infinite")
@@ -91,8 +95,10 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     else:
         xi = math.exp(ratio * math.log(z)) * exp_scaled_upper_inc_gamma(1.0 - ratio, z)
         # rounding can push xi a hair past 1; the true a_bar is always positive
-        return max((1.0 - xi) / a, 0.0), xi
-    return a_bar, 1.0 - a * a_bar
+        xi = 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
+        return (1.0 - xi) / a, xi
+    xi = 1.0 - a * a_bar  # <= 1, as a * a_bar >= 0
+    return a_bar, xi if xi > 0.0 else 0.0
 
 
 def e0(params: GmParams) -> float:
@@ -107,14 +113,14 @@ def annuity(params: GmParams, delta: float, x: float) -> float:
     (alpha + delta, beta * e**(gamma_exp * x), gamma_exp).  Raises
     OverflowError when beta * e**(gamma_exp * x) is not representable.
     """
-    _check_rate(delta)
-    _check_age(x)
+    _check_args(delta, x)
     return _evaluate(params, params.alpha + delta, x)[0]
 
 
 def remaining_life(params: GmParams, x: float) -> float:
     """Expected remaining lifetime e_x; the undiscounted annuity value."""
-    return annuity(params, 0.0, x)
+    _check_age(x)
+    return _evaluate(params, params.alpha, x)[0]
 
 
 def ageing_factor(params: GmParams, delta: float, x: float) -> float:
@@ -124,41 +130,35 @@ def ageing_factor(params: GmParams, delta: float, x: float) -> float:
     Undefined when alpha + delta = 0, since the defining relation
     degenerates there.
     """
-    _check_rate(delta)
-    _check_age(x)
+    _check_args(delta, x)
     if params.alpha + delta == 0.0:
         raise ValueError("ageing factor is undefined when alpha + delta = 0")
-    xi = _evaluate(params, params.alpha + delta, x)[1]
-    return min(max(xi, 0.0), 1.0)
+    return _evaluate(params, params.alpha + delta, x)[1]
 
 
 def commutation_d(params: GmParams, delta: float, x: float) -> float:
     """D(x) = l(x) * e**(-delta*x), i.e. survival at the rate-shifted basis."""
-    _check_rate(delta)
-    _check_age(x)
-    a = params.alpha + delta
-    if params.beta == 0.0:
-        return math.exp(-a * x)
-    return math.exp(
-        -a * x - (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
-    )
+    _check_args(delta, x)
+    return _discounted_survival(params, delta, x)
 
 
-def _commutation(params: GmParams, rate: float, x: float) -> tuple[float, float, float, float]:
-    # D, N = D * a_bar and M = D - rate * N at one rate, plus the a_bar they share
-    d = commutation_d(params, rate, x)
-    a_bar = annuity(params, rate, x)
+def _commutation(params: GmParams, rate: float, x: float) -> tuple[float, ...]:
+    # D, N = D * a_bar, M = D - rate * N, a_bar and xi at one rate; unvalidated
+    d = _discounted_survival(params, rate, x)
+    a_bar, xi = _evaluate(params, params.alpha + rate, x)
     n = d * a_bar
-    return d, n, d - rate * n, a_bar
+    return d, n, d - rate * n, a_bar, xi
 
 
 def commutation_n(params: GmParams, delta: float, x: float) -> float:
     """N(x) = integral of D over [x, inf) = D(x) * a_bar(x)."""
+    _check_args(delta, x)
     return _commutation(params, delta, x)[1]
 
 
 def commutation_m(params: GmParams, delta: float, x: float) -> float:
     """M(x) = integral of mu*D over [x, inf) = D(x) - delta * N(x)."""
+    _check_args(delta, x)
     return _commutation(params, delta, x)[2]
 
 
@@ -170,9 +170,9 @@ def commutation_row(
     Rows at twice the rate feed variance (second-moment) calculations for
     insurance contracts priced off the single-rate columns.
     """
-    _check_rate(delta)
     rate = 2.0 * delta if double_rate else delta
-    d, n, m, _ = _commutation(params, rate, x)
+    _check_args(rate, x)
+    d, n, m, _, _ = _commutation(params, rate, x)
     return CommutationRow(x=x, d_val=d, n_val=n, m_val=m)
 
 
@@ -183,7 +183,7 @@ def positive_shape_check(params: GmParams, delta: float) -> float:
     evaluation runs through the negative-shape recurrence (or the
     exponential-integral path at exactly zero) instead of the gamma CDF.
     """
-    _check_rate(delta)
+    _check_args(delta)
     if params.gamma_exp <= 0.0:
         raise ValueError("shape is only defined for gamma_exp > 0")
     return 1.0 - (params.alpha + delta) / params.gamma_exp

@@ -48,6 +48,15 @@ def _check_age(x: float) -> None:
         raise ValueError(f"age must be finite and >= 0, got {x!r}")
 
 
+def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
+    # l(x) * e**(-rate*x), unvalidated; exactly l(x) at rate 0.0
+    exponent = -(params.alpha + rate) * x
+    if params.beta != 0.0:
+        # expm1 keeps the senescent exponent accurate for small gamma_exp * x
+        exponent -= (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
+    return math.exp(exponent)
+
+
 def survival(params: GmParams, x: float) -> float:
     """Probability l(x) of surviving from age 0 to age x.
 
@@ -55,13 +64,7 @@ def survival(params: GmParams, x: float) -> float:
     drops below about -745.
     """
     _check_age(x)
-    if params.beta == 0.0:
-        return math.exp(-params.alpha * x)
-    # expm1 keeps the senescent exponent accurate for small gamma_exp * x
-    return math.exp(
-        -params.alpha * x
-        - (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
-    )
+    return _discounted_survival(params, 0.0, x)
 
 
 def mortality_rate(params: GmParams, x: float) -> float:

@@ -19,11 +19,15 @@ z < 1 (once z exceeds |eta| each step amplifies rounding error by about
 z / |step shape|), so for z >= 1 the continued fraction is used directly;
 it converges for any real shape there.
 
-Accuracy near non-positive *integer* shapes: exact integers are routed
-through the exponential integral E1(z) = Gamma(0, z); non-integer shapes
-within ~1e-5 of a pole of Gamma(eta) lose a few digits to cancellation in
-the recurrence.  Shapes below -10 are accepted but accuracy degrades by
-roughly one decimal digit per unit of shape.
+Accuracy near non-positive *integer* shapes n (z < 1): exact integers are
+routed through the exponential integral E1(z) = Gamma(0, z), and so are
+shapes within 8 * 2**-52 * (1 + |eta|) of n, which are taken to be n.  Farther
+off, the recurrence or Gamma(eta) * (1 - G) cancels, with a relative error
+of roughly 1e-16 divided by the distance d from the pole: in the annuity at
+z ~ 0.05, 8e-12 at d = 1e-5, 5e-7 at d = 1e-10 and 2e-4 at d = 1e-12 next
+to 0, and 7e-15 at d = 1e-5 and 5e-10 at d = 1e-10 next to -2.  Shapes
+below -10 are accepted but accuracy degrades by roughly one decimal digit
+per unit of shape.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ _MAX_ITER = 500
 _REL_EPS = 1e-15
 _LENTZ_TINY = 1e-300
 _EULER_MASCHERONI = 0.5772156649015328606
+_POLE_SNAP = 8.0 * 2.0**-52  # shapes this close (times 1 + |eta|) to a pole are the pole
 
 #: Largest shape for which Gamma(eta) is representable in binary64.
 GAMMA_OVERFLOW_SHAPE = 171.62437695630272
@@ -183,6 +188,18 @@ def _e1_series(z: float) -> float:
     raise ConvergenceError(f"exponential integral series stalled (z={z})")
 
 
+def _snap_to_pole(eta: float) -> float:
+    # A shape within a few ulps of a non-positive integer n is most likely n
+    # itself after rounding (e.g. 1 - 0.3/0.1 = -1.9999999999999996).  Taken
+    # as it is, it cancels to nothing in the recurrence or in
+    # Gamma(eta) * (1 - G); taken as n, it goes down the E1 route, and
+    # Gamma(eta, z) moves by only ~|eta - n| * (1 + |ln z|) relative.
+    n = round(eta)
+    if n <= 0 and abs(eta - n) <= _POLE_SNAP * (1.0 - eta):
+        return float(n)
+    return eta
+
+
 def gamma_cdf(z: float, eta: float) -> float:
     """Gamma distribution function G(z; eta, 1) for eta > 0, z >= 0.
 
@@ -224,6 +241,8 @@ def upper_inc_gamma_general(eta: float, z: float) -> float:
         raise ValueError("argument must be > 0 when the shape is <= 0")
     if z >= max(1.0, eta + 1.0):
         return math.exp(-z + eta * math.log(z)) * _upper_cf(eta, z)
+    if eta < 0.5:  # the poles are at 0, -1, -2, ...
+        eta = _snap_to_pole(eta)
     if eta > 0.0:
         return gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
     return math.exp(-z) * exp_scaled_upper_inc_gamma(eta, z)
@@ -245,6 +264,8 @@ def exp_scaled_upper_inc_gamma(eta: float, z: float) -> float:
         raise ValueError(f"argument must be > 0, got {z!r}")
     if z >= max(1.0, eta + 1.0):
         return math.exp(eta * math.log(z)) * _upper_cf(eta, z)
+    if eta < 0.5:  # the poles are at 0, -1, -2, ...
+        eta = _snap_to_pole(eta)
     if eta > 0.0:
         return math.exp(z) * gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
     # z < 1 from here on, so e**z never overflows

@@ -7,7 +7,16 @@ import math
 
 import pytest
 
-from gmlife import annuity, commutation_d, remaining_life
+import gmlife.life
+from gmlife import (
+    ageing_factor,
+    annuity,
+    commutation_d,
+    commutation_row,
+    mortality_rate,
+    remaining_life,
+    survival,
+)
 from gmlife.cli import main
 from gmlife.mortality import GmParams
 
@@ -127,6 +136,53 @@ class TestDoubleRateAndDiagnostics:
         assert 0.0 <= row["ageing_factor"] < 1.0
 
 
+class TestOneEngine:
+    def test_rows_equal_scalar_api_bit_for_bit(self, capsys):
+        # the worked basis crosses z = 1 at age 89.24; the second basis has
+        # shape -1.5 and the third no senescence
+        bases = [(GmParams(0.001, 0.000012, 0.101314), 0.026559),
+                 (GmParams(0.15, 3e-4, 0.08), 0.05),
+                 (GmParams(0.01, 0.0, 0.1), 0.03)]
+        for p, delta in bases:
+            code = main(["--alpha", repr(p.alpha), "--beta", repr(p.beta),
+                         "--gamma", repr(p.gamma_exp), "--delta", repr(delta),
+                         "--x-min", "0", "--x-max", "1000", "--step", "7.3",
+                         "--double-rate", "--diagnostics", "--format", "json"])
+            rows = json.loads(capsys.readouterr().out)
+            assert code == 0 and len(rows) == 137
+            for row in rows:
+                x = row["x"]
+                single = commutation_row(p, delta, x)
+                double = commutation_row(p, delta, x, double_rate=True)
+                assert (row["D"], row["N"], row["M"]) == (
+                    single.d_val, single.n_val, single.m_val), (p, x)
+                assert (row["D2"], row["N2"], row["M2"]) == (
+                    double.d_val, double.n_val, double.m_val), (p, x)
+                assert row["a_bar"] == annuity(p, delta, x), (p, x)
+                assert row["e_x"] == remaining_life(p, x), (p, x)
+                assert row["ageing_factor"] == ageing_factor(p, delta, x), (p, x)
+                assert row["l"] == survival(p, x), (p, x)
+                assert row["mu"] == mortality_rate(p, x), (p, x)
+
+    def test_one_engine_evaluation_per_rate(self, capsys, monkeypatch):
+        real = gmlife.life._evaluate
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gmlife.life, "_evaluate", counting)
+        # a_bar at delta (which also gives the ageing factor), e_x, and a_bar
+        # at 2 * delta; 12 rows, across z = 1
+        for extra, per_row in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "--x-min", "0", "--x-max", "110",
+                                 "--step", "10", *extra)
+            assert code == 0
+            assert len(calls) == 12 * per_row, extra
+
+
 class TestVerifyMode:
     def test_verify_passes_on_worked_basis(self, capsys):
         code, out, err = run_cli(
@@ -181,6 +237,8 @@ class TestExitCodes:
              "--x-min", "0", "--x-max", "1", "--step", "1"],
             ["--alpha", "0", "--beta", "0", "--gamma", "0.1",
              "--delta", "0.03", "--x-min", "0", "--x-max", "1", "--step", "1"],
+            ["--alpha", "0.01", "--beta", "0", "--gamma", "0.1", "--delta", "1e308",
+             "--x-min", "0", "--x-max", "1", "--step", "1", "--double-rate"],
         ]
         for argv in bad_cases:
             code = main(argv)

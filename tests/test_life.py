@@ -52,9 +52,11 @@ SHAPE_SIX_FIGURES = 0.727984
 # 50-digit mpmath values, by two routes that agree to 25 digits or more:
 # z**s * e**z * Gamma(-s, z) / gamma with mpmath.gammainc, and quadrature of
 # e**-u (1 + u/z)**-s / (gamma (z + u)) over [0, inf), where s = (alpha+delta)/gamma
-# and z = beta*e^(gamma*x)/gamma.  The last basis has shape 1 - s = -1.5.
+# and z = beta*e^(gamma*x)/gamma.  NEGATIVE_SHAPE_BASIS has shape 1 - s = -1.5;
+# the last two bases have shapes a few ulps from the poles at -2 and 0, since
+# s rounds to 2.9999999999999996 and 0.9999999999999999.
 NEGATIVE_SHAPE_BASIS = GmParams(alpha=0.15, beta=0.0003, gamma_exp=0.08)
-HIGH_AGE_VALUES = [
+MPMATH_VALUES = [
     (annuity, (BASIS, DELTA, 110.0), ANNUITY_110),
     (annuity, (BASIS, DELTA, 200.0), 1.3206542537255526e-04),
     (annuity, (BASIS, DELTA, 300.0), 5.2575742146073167e-09),
@@ -65,6 +67,8 @@ HIGH_AGE_VALUES = [
     (remaining_life, (BASIS, 500.0), 8.3322671171232089e-18),
     (remaining_life, (BASIS, 1000.0), 8.3312010373311254e-40),
     (annuity, (NEGATIVE_SHAPE_BASIS, 0.05, 200.0), 3.7507785475777879e-04),
+    (annuity, (GmParams(0.3, 1e-4, 0.1), 0.0, 60.0), 2.8180845616379973),
+    (annuity, (GmParams(0.01, 1e-5, 0.1), 0.09, 40.0), 9.745355750744418),
 ]
 
 
@@ -347,6 +351,7 @@ class TestShapeRegimes:
         assert closed == pytest.approx(q.value, rel=1e-6)
 
     def test_frozen_high_age(self):
-        # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40
-        for fn, args, expected in HIGH_AGE_VALUES:
+        # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40, and
+        # two shapes next to a pole
+        for fn, args, expected in MPMATH_VALUES:
             assert fn(*args) == pytest.approx(expected, rel=1e-13), (fn.__name__, args)

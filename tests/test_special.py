@@ -38,6 +38,13 @@ GAMMA_CDF_SMALL_Z = 0.0015152978322637408
 # Gamma(-0.5, 1): 50-digit quadrature of int_1^inf y^-1.5 e^-y dy
 UPPER_NEG_HALF_AT_1 = 0.1781477117815607
 
+# Gamma(eta, z) at shapes 1.1e-16 and 4.4e-16 from the poles at 0 and -2:
+# 50-digit mpmath.gammainc, confirmed by quadrature of the integral
+NEAR_POLE_VALUES = [
+    (1.1102230246251565e-16, 0.5, 0.5597735947761608),
+    (-1.9999999999999996, 0.4, 1.6080401457496543),
+]
+
 # e^800 * Gamma(0.727984, 800): 50-digit evaluation, independently
 # confirmed by the asymptotic expansion z^(eta-1) (1 + (eta-1)/z + ...)
 EXP_SCALED_AT_800 = 0.16224286783454349
@@ -171,6 +178,9 @@ class TestUpperIncGamma:
         assert upper_inc_gamma_general(-0.5, 1.0) == pytest.approx(
             UPPER_NEG_HALF_AT_1, rel=1e-11
         )
+        for eta, z, expected in NEAR_POLE_VALUES:
+            got = upper_inc_gamma_general(eta, z)
+            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
 
     def test_recurrence_consistency(self):
         # |eta*G(eta,z) + z^eta e^-z - G(eta+1,z)| <= 1e-10 |G(eta+1,z)|
