@@ -1,7 +1,8 @@
 """Checking the closed forms against integration and simulation.
 
-Two independent oracles: adaptive Simpson quadrature of the defining
-integrals, and a seeded Monte-Carlo sampler built on the competing-risks
+Two independent oracles: composite Gauss-Legendre quadrature of the
+defining integrals, with the panel count doubled until two sums agree,
+and a seeded Monte-Carlo sampler built on the competing-risks
 factorization of the survival function.  The closed form is treated as
 ground truth; the oracles exist to catch it lying.
 """

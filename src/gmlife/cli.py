@@ -95,6 +95,8 @@ def _validate(args) -> GmParams:
         raise _UsageError("need 0 <= x-min <= x-max")
     if not args.step > 0.0:
         raise _UsageError("--step must be > 0")
+    if not math.isfinite((args.x_max - args.x_min) / args.step):
+        raise _UsageError("need finite x-min, x-max and (x-max - x-min) / step")
     if args.verify and not args.verify_tol > 0.0:
         raise _UsageError("--verify-tol must be > 0")
     if args.diagnostics and args.gamma <= 0.0:
@@ -146,7 +148,7 @@ def _compute_rows(params: GmParams, args) -> list[dict]:
     for x in _age_grid(args.x_min, args.x_max, args.step):
         try:
             rows.append(_one_row(params, args, x, rng, shape))
-        except (OverflowError, ConvergenceError) as exc:
+        except (OverflowError, ConvergenceError, ValueError) as exc:
             raise _NumericalFailure(x, exc) from exc
     return rows
 

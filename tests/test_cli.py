@@ -185,29 +185,35 @@ class TestOneEngine:
 
 class TestVerifyMode:
     def test_verify_passes_on_worked_basis(self, capsys):
-        code, out, err = run_cli(
-            capsys, "--x-min", "0", "--x-max", "100", "--step", "10",
-            "--verify", "--verify-tol", "1e-7",
-        )
-        assert code == 0, err
-        header, rows = parse_csv(out)
-        for col in ("a_bar_rel_diff", "m_rel_diff", "e_x_mc_dev"):
-            assert col in header
-        for row in rows:
-            assert float(row[header.index("a_bar_rel_diff")]) <= 1e-7
-            assert float(row[header.index("m_rel_diff")]) <= 1e-7
+        # the second grid is the benchmark's verify workload; it holds ages
+        # (11.13, 27.13, 75.13) where adaptive Simpson converges falsely
+        for x_min, x_max, step in (("0", "100", "10"), ("0.13", "110", "1")):
+            code, out, err = run_cli(
+                capsys, "--x-min", x_min, "--x-max", x_max, "--step", step,
+                "--verify", "--verify-tol", "1e-7",
+            )
+            assert code == 0, err
+            header, rows = parse_csv(out)
+            for col in ("a_bar_rel_diff", "m_rel_diff", "e_x_mc_dev"):
+                assert col in header
+            for row in rows:
+                assert float(row[header.index("a_bar_rel_diff")]) <= 1e-7
+                assert float(row[header.index("m_rel_diff")]) <= 1e-7
 
     def test_verify_fails_with_impossible_tolerance(self, capsys):
+        # several rows, since the oracle can agree with a single row exactly
         code, out, err = run_cli(
-            capsys, "--x-min", "0", "--x-max", "0", "--step", "1",
+            capsys, "--x-min", "0", "--x-max", "100", "--step", "10",
             "--verify", "--verify-tol", "1e-16", "--format", "json",
         )
         assert code == 4
-        (row,) = json.loads(out)  # the table is still emitted
-        column = max(("a_bar_rel_diff", "m_rel_diff"), key=row.get)
+        rows = json.loads(out)  # the table is still emitted
+        columns = ("a_bar_rel_diff", "m_rel_diff")
+        failed = [row for row in rows if max(row[c] for c in columns) > 1e-16]
+        diff, column, x = max((row[c], c, row["x"]) for row in rows for c in columns)
         assert err == (
-            "gmlife: verification failed: 1 of 1 rows exceed 1e-16; worst is "
-            f"{column} = {row[column]:.3g} at age 0\n"
+            f"gmlife: verification failed: {len(failed)} of 11 rows exceed 1e-16; "
+            f"worst is {column} = {diff:.3g} at age {x:g}\n"
         )
 
     def test_verify_seed_changes_only_mc_column(self, capsys):
@@ -239,6 +245,8 @@ class TestExitCodes:
              "--delta", "0.03", "--x-min", "0", "--x-max", "1", "--step", "1"],
             ["--alpha", "0.01", "--beta", "0", "--gamma", "0.1", "--delta", "1e308",
              "--x-min", "0", "--x-max", "1", "--step", "1", "--double-rate"],
+            REMARK_FLAGS + ["--x-min", "0", "--x-max", "inf", "--step", "1"],
+            REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1e-300"],
         ]
         for argv in bad_cases:
             code = main(argv)
@@ -247,8 +255,16 @@ class TestExitCodes:
             assert err.strip(), argv
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
-        code = main(REMARK_FLAGS + ["--x-min", "7000", "--x-max", "8000",
-                                    "--step", "1000"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "7000" in err or "8000" in err
+        cases = [
+            (REMARK_FLAGS + ["--x-min", "7000", "--x-max", "8000", "--step", "1000"],
+             ("7000", "8000")),
+            # the shape -(alpha + delta)/gamma overflows to -inf
+            (["--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
+              "--delta", "1e308", "--x-min", "5", "--x-max", "6", "--step", "1"],
+             ("age 5",)),
+        ]
+        for argv, ages in cases:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 3, argv
+            assert any(age in err for age in ages), err

@@ -4,7 +4,7 @@ Frozen references were computed before the build by 50-digit quadrature
 of the defining integrals (annuity, remaining-life and commutation
 integrals) at the worked basis alpha=0.001, beta=0.000012,
 gamma=0.101314, delta=0.026559.  Grid comparisons against the package's
-own adaptive-Simpson oracle live in test_acceptance; here the quadrature
+own Gauss-Legendre oracle live in test_acceptance; here the quadrature
 cross-checks are pointwise.
 """
 

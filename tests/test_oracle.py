@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gmlife.life import remaining_life
+from gmlife.life import annuity, commutation_m, remaining_life
 from gmlife.mortality import GmParams, cdf
 from gmlife.oracle import (
     McEstimate,
@@ -28,6 +28,20 @@ DELTA = 0.026559
 # 50-digit quadrature references (see test_life for the full set)
 E0_BASIS = 80.08308960339007
 M_30 = 0.1178879008334845
+
+# 50-digit mpmath values at DELTA, at ages where 5-point-seeded adaptive
+# Simpson converges falsely on the M integral (Lyness, J. ACM 16:483, 1969)
+# at the tolerance --verify uses, 1e-9 of the value
+A_BAR_MPMATH = {
+    11.13: 31.007650583754813,
+    27.13: 28.134399331522012,
+    75.13: 10.78292507759037,
+}
+M_MPMATH = {
+    11.13: 0.1298213730707899,
+    27.13: 0.11947487154343335,
+    75.13: 0.07084484761878981,
+}
 
 # asymptotic 1% two-sided Kolmogorov-Smirnov critical factor
 KS_CRIT_1PCT = 1.6276
@@ -61,14 +75,19 @@ class TestIntegrateSurvival:
         assert res.evaluations >= 1
 
     def test_large_rate_dominates(self):
-        res = integrate_survival(BASIS, 10.0, 0.0, tol=1e-12)
-        limit = 1.0 / (BASIS.alpha + 10.0)
-        assert res.value <= limit
-        assert res.value == pytest.approx(limit, rel=1e-4)
+        # at rate 1e6 the integrand has decayed long before t = 1
+        for rate in (10.0, 1e6):
+            res = integrate_survival(BASIS, rate, 0.0, tol=1e-12)
+            limit = 1.0 / (BASIS.alpha + rate)
+            assert res.value <= limit
+            assert res.value == pytest.approx(limit, rel=1e-4), rate
 
     def test_frozen_reference(self):
         res = integrate_survival(BASIS, 0.0, 0.0, tol=1e-10)
         assert abs(res.value - E0_BASIS) <= 10.0 * 1e-10
+        for x, ref in A_BAR_MPMATH.items():
+            res = integrate_survival(BASIS, DELTA, x, tol=1e-9 * ref)
+            assert res.value == pytest.approx(ref, rel=1e-9), x
 
     def test_tolerance_halving_self_consistency(self):
         for tol in (1e-8, 1e-10):
@@ -96,9 +115,12 @@ class TestIntegrateM:
         # with delta = 0, the integral of mu*D over (x, inf) is just l(x)
         from gmlife.mortality import survival
 
-        for x in (0.0, 30.0, 70.0):
-            res = integrate_m(BASIS, 0.0, x, tol=1e-10)
-            assert res.value == pytest.approx(survival(BASIS, x), rel=1e-8)
+        # the last basis has mu(0) = 1e-20, far below the later peak of mu*l
+        cases = [(BASIS, 0.0), (BASIS, 30.0), (BASIS, 70.0),
+                 (GmParams(0.0, 1e-20, 0.1), 0.0)]
+        for p, x in cases:
+            res = integrate_m(p, 0.0, x, tol=1e-10)
+            assert res.value == pytest.approx(survival(p, x), rel=1e-8), (p, x)
 
     def test_exponential_closed_form(self):
         p = GmParams(0.02, 0.0, 0.1)
@@ -111,6 +133,9 @@ class TestIntegrateM:
     def test_frozen_reference(self):
         res = integrate_m(BASIS, DELTA, 30.0, tol=1e-11)
         assert res.value == pytest.approx(M_30, rel=1e-8)
+        for x, ref in M_MPMATH.items():
+            res = integrate_m(BASIS, DELTA, x, tol=1e-9 * ref)
+            assert res.value == pytest.approx(ref, rel=1e-9), x
 
     def test_keeps_relative_accuracy_at_tiny_scale(self):
         # D(100) is ~1e-7 here; the normalized form must still resolve it
@@ -119,6 +144,19 @@ class TestIntegrateM:
         assert res.value > 0.0
         d = math.exp(-0.13 * 100.0 - 1e-4 * math.expm1(10.0))
         assert res.value < d  # M(x) <= D(x)
+
+
+class TestEvaluationCounts:
+    def test_work_on_worked_grid(self):
+        # a deterministic gate on quadrature work, at the tolerance the CLI's
+        # --verify uses, over the grid of its benchmark workload
+        for i in range(110):
+            x = 0.13 + i
+            for integrate, closed in ((integrate_survival, annuity),
+                                      (integrate_m, commutation_m)):
+                tol = 1e-9 * closed(BASIS, DELTA, x)
+                res = integrate(BASIS, DELTA, x, tol=tol)
+                assert res.evaluations <= 300, (integrate.__name__, x)
 
 
 class TestSampleLifetime:
