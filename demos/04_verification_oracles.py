@@ -44,9 +44,9 @@ for x in (0.0, 40.0, 65.0):
     print(f"  e_{x:<4.0f} closed {closed:.4f}  mc {est.mean:.4f} "
           f"+/- {est.std_error:.4f}  ({dev:.2f} standard errors)")
 
-# A basis where hazard+interest exceeds the ageing rate pushes the
-# gamma-route shape negative; the recurrence-lifted evaluation still
-# matches quadrature.
+# A basis where hazard+interest exceeds the ageing rate pushes the shape of
+# the paper's gamma-CDF expression negative, out of that expression's reach;
+# the closed form, one series for every shape, still matches quadrature.
 steep = GmParams(alpha=0.08, beta=0.0005, gamma_exp=0.06)
 steep_delta = 0.05
 shape = positive_shape_check(steep, steep_delta)

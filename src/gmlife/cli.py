@@ -38,6 +38,7 @@ from .special import ConvergenceError
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
+_MAX_ROWS = 1_000_000  # every row is held in memory until the table is emitted
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 
 
@@ -97,6 +98,10 @@ def _validate(args) -> GmParams:
         raise _UsageError("--step must be > 0")
     if not math.isfinite((args.x_max - args.x_min) / args.step):
         raise _UsageError("need finite x-min, x-max and (x-max - x-min) / step")
+    n_rows = _row_count(args.x_min, args.x_max, args.step)
+    if n_rows > _MAX_ROWS:
+        raise _UsageError(f"the age grid has {n_rows:.7g} rows; at most {_MAX_ROWS} "
+                          "are allowed")
     if args.verify and not args.verify_tol > 0.0:
         raise _UsageError("--verify-tol must be > 0")
     if args.diagnostics and args.gamma <= 0.0:
@@ -107,9 +112,12 @@ def _validate(args) -> GmParams:
     return params
 
 
+def _row_count(x_min: float, x_max: float, step: float) -> int:
+    return math.floor((x_max - x_min) / step + 1e-9) + 1
+
+
 def _age_grid(x_min: float, x_max: float, step: float) -> list[float]:
-    n = int(math.floor((x_max - x_min) / step + 1e-9)) + 1
-    return [x_min + i * step for i in range(n)]
+    return [x_min + i * step for i in range(_row_count(x_min, x_max, step))]
 
 
 def _quad_tol(closed_value: float, verify_tol: float) -> float:

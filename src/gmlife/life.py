@@ -18,18 +18,16 @@ beta, so every quantity here (life expectancy, annuity value, ageing
 factor, commutation functions) comes from one gamma-function evaluation.
 No numerical integration is performed anywhere in this module.
 
-Which line is evaluated depends on z.  For z >= 1 it is the first: there
-the continued fraction H of :mod:`gmlife.special` gives it as
-H(-a/gamma, z) / gamma exactly, with no subtraction and no power or
-exponential of z formed on its own, so values hold about 1e-14 relative
-accuracy long after survival has vanished (checked to z ~ 1e40).  The
-second line subtracts a number that tends to 1 as z grows, so it serves
-only for z < 1, where :func:`gmlife.special.exp_scaled_upper_inc_gamma`
-evaluates the product through the positive-shape gamma CDF or the
-shape-lifting recurrence; shapes 1 - a/gamma down to -10 are supported
-there, covering bases where the combined hazard-plus-interest exceeds the
-ageing rate.  At a = 0 the first line is used for every z, as
-e**z * E1(z) / gamma.
+Only the first line is evaluated, for every z and every shape.  With
+r = a/gamma, :func:`gmlife.special.exp_scaled_upper_inc_gamma` returns in one
+evaluation the pair z**r * e**z * (Gamma(-r, z), Gamma(1 - r, z)), which is
+(gamma * e0, xi) with xi = 1 - a * e0 the ageing factor.  Neither member is
+formed by subtraction, so e0 keeps its digits as xi tends to 1 (old ages) or
+a to 0, and xi keeps its digits as it tends to 0.  For z >= 1.1 the pair is
+the continued fraction H(-r, z) and 1 - r * H, with no power or exponential
+of z formed, so values hold about 1e-14 relative accuracy long after
+survival has vanished (checked to z ~ 1e40); below that a series smooth
+through the poles of Gamma gives it, so no shape needs a special case.
 
 There is one evaluation per rate: one gamma product gives D, N, M, a_bar
 and the ageing factor, and arguments are validated once, at the public API.
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 from .mortality import GmParams, _check_age, _discounted_survival
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import _upper_cf, exp_scaled_upper_inc_gamma
+from .special import exp_scaled_upper_inc_gamma
 
 __all__ = [
     "CommutationRow",
@@ -76,29 +74,17 @@ def _check_args(delta: float, x: float = 0.0) -> None:
 
 def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     # (a_bar, xi) at age x and combined flat hazard a = alpha + delta,
-    # with a * a_bar = 1 - xi and xi clamped to [0, 1]
+    # with a * a_bar = 1 - xi and xi clamped to [0, 1] against rounding
     if params.beta == 0.0:
         if a == 0.0:
             raise ValueError("alpha, beta and delta are all zero: value is infinite")
         return 1.0 / a, 0.0
     gam = params.gamma_exp
     z = params.beta * math.exp(gam * x) / gam
-    ratio = a / gam
-    if z >= 1.0:
-        # unintegrated form z**ratio * e**z * Gamma(-ratio, z) / gamma, which
-        # for z >= 1 is exactly the continued fraction H(-ratio, z) / gamma:
-        # nothing is subtracted and no power of z is formed on its own
-        a_bar = _upper_cf(-ratio, z) / gam
-    elif a == 0.0:
-        # the same form at shape 0: e**z * E1(z) / gamma
-        a_bar = exp_scaled_upper_inc_gamma(0.0, z) / gam
-    else:
-        xi = math.exp(ratio * math.log(z)) * exp_scaled_upper_inc_gamma(1.0 - ratio, z)
-        # rounding can push xi a hair past 1; the true a_bar is always positive
-        xi = 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
-        return (1.0 - xi) / a, xi
-    xi = 1.0 - a * a_bar  # <= 1, as a * a_bar >= 0
-    return a_bar, xi if xi > 0.0 else 0.0
+    # the pair z**r e**z (Gamma(-r, z), Gamma(1 - r, z)) at r = a / gamma is
+    # (gamma * a_bar, xi): both come out of one evaluation, neither by subtraction
+    f, xi = exp_scaled_upper_inc_gamma(-(a / gam), z, pair=True)
+    return f / gam, 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
 
 
 def e0(params: GmParams) -> float:
@@ -143,11 +129,13 @@ def commutation_d(params: GmParams, delta: float, x: float) -> float:
 
 
 def _commutation(params: GmParams, rate: float, x: float) -> tuple[float, ...]:
-    # D, N = D * a_bar, M = D - rate * N, a_bar and xi at one rate; unvalidated
+    # D, N = D * a_bar, M, a_bar and xi at one rate; unvalidated.  M = D - rate * N
+    # is formed as D * (xi + alpha * a_bar), a sum of non-negative terms, since
+    # 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is D itself.
     d = _discounted_survival(params, rate, x)
     a_bar, xi = _evaluate(params, params.alpha + rate, x)
-    n = d * a_bar
-    return d, n, d - rate * n, a_bar, xi
+    m = d * (xi + params.alpha * a_bar) if rate else d
+    return d, d * a_bar, m, a_bar, xi
 
 
 def commutation_n(params: GmParams, delta: float, x: float) -> float:
@@ -177,11 +165,12 @@ def commutation_row(
 
 
 def positive_shape_check(params: GmParams, delta: float) -> float:
-    """Shape parameter 1 - (alpha + delta)/gamma_exp of the gamma-function route.
+    """Shape parameter 1 - (alpha + delta)/gamma_exp of the paper's gamma CDF route.
 
-    Positive for typical bases; a non-positive value means annuity
-    evaluation runs through the negative-shape recurrence (or the
-    exponential-integral path at exactly zero) instead of the gamma CDF.
+    Positive for typical bases, where the paper's expression through the
+    gamma function and the gamma CDF applies as written; a non-positive value
+    means the combined hazard-plus-interest exceeds the ageing rate.  Either
+    way the annuity is evaluated the same way (see the module docstring).
     """
     _check_args(delta)
     if params.gamma_exp <= 0.0:

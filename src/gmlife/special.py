@@ -7,27 +7,26 @@ upper incomplete gamma function for arbitrary real shape at positive
 argument, including an exp-scaled variant that stays finite where the
 plain product e^z * Gamma(eta, z) would overflow.
 
-Algorithm split: power series for the lower incomplete gamma when
-z < eta + 1, modified Lentz continued fraction for the upper incomplete
-gamma when z >= eta + 1.  Non-positive shapes are reached by repeatedly
-applying the partial-integration identity
+Gamma(eta, z) takes a modified Lentz continued fraction for
+z >= max(1.1, eta + 1), at any real shape.  Below that, shapes eta >= 1/2
+take Gamma(eta) * (1 - G(z; eta, 1)) with gamma_cdf's power series, and lower
+shapes one series that is smooth through the poles of Gamma (Gautschi, ACM
+TOMS 5:466, 1979); for a base shape s in [-1/2, 1/2)
 
-    Gamma(eta, z) = (Gamma(eta + 1, z) - z**eta * e**-z) / eta
+    Gamma(s, z) = (Gamma(1+s) - 1)/s - expm1(s ln z)/s
+                  - z**s * sum_{k>=1} (-z)**k / (k! (s+k))
 
-downward from a positive shape.  That recurrence is only stable for
-z < 1 (once z exceeds |eta| each step amplifies rounding error by about
-z / |step shape|), so for z >= 1 the continued fraction is used directly;
-it converges for any real shape there.
+with 1/Gamma(1+s) from its Taylor series about 0 (at s = 0 this is E1(z)),
+and a second sum in the same loop gives Gamma(s + 1, z).  Lower shapes step
+down by partial integration, each step dividing by a shape of size >= 1/2.
+The split: at z = 1.1 the fraction needs 78 iterations and the series 19
+terms, and over shapes in [-1/2, 1/2) the series is within 4.9e-15 of
+50-digit mpmath, the fraction 1.2e-14; from z ~ 1.2 up the series'
+alternating sum cancels (3.8e-14 at z = 2) and the fraction wins.
 
-Accuracy near non-positive *integer* shapes n (z < 1): exact integers are
-routed through the exponential integral E1(z) = Gamma(0, z), and so are
-shapes within 8 * 2**-52 * (1 + |eta|) of n, which are taken to be n.  Farther
-off, the recurrence or Gamma(eta) * (1 - G) cancels, with a relative error
-of roughly 1e-16 divided by the distance d from the pole: in the annuity at
-z ~ 0.05, 8e-12 at d = 1e-5, 5e-7 at d = 1e-10 and 2e-4 at d = 1e-12 next
-to 0, and 7e-15 at d = 1e-5 and 5e-10 at d = 1e-10 next to -2.  Shapes
-below -10 are accepted but accuracy degrades by roughly one decimal digit
-per unit of shape.
+Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
+pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
+of 50-digit mpmath; the factor is the sensitivity to rounding in eta and z.
 """
 
 from __future__ import annotations
@@ -58,11 +57,23 @@ _LANCZOS_COEF = (
     1.5056327351493116e-7,
 )
 
+# c_20 .. c_1 of 1/Gamma(1 + s) = 1 + sum c_k s**k, from
+# mpmath.taylor(mpmath.rgamma, 1, 20); at |s| <= 1/2, c_21 adds below 1e-18
+_RGAMMA_TAYLOR = (
+    -3.696805618642206e-12, 7.782263439905071e-12, 1.0434267116911005e-10,
+    -1.18127457048702e-09, 5.002007644469223e-09, 6.116095104481416e-09,
+    -2.056338416977607e-07, 1.133027231981696e-06, -1.2504934821426706e-06,
+    -2.013485478078824e-05, 0.0001280502823881162, -0.00021524167411495098,
+    -0.0011651675918590652, 0.0072189432466631, -0.009621971527876973,
+    -0.04219773455554433, 0.16653861138229148, -0.04200263503409524,
+    -0.6558780715202539, 0.5772156649015329,
+)
+
 _MAX_ITER = 500
 _REL_EPS = 1e-15
 _LENTZ_TINY = 1e-300
-_EULER_MASCHERONI = 0.5772156649015328606
-_POLE_SNAP = 8.0 * 2.0**-52  # shapes this close (times 1 + |eta|) to a pole are the pole
+# The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
+_CF_MIN_Z = 1.1
 
 #: Largest shape for which Gamma(eta) is representable in binary64.
 GAMMA_OVERFLOW_SHAPE = 171.62437695630272
@@ -174,32 +185,6 @@ def _upper_cf(eta: float, z: float) -> float:
     )
 
 
-def _e1_series(z: float) -> float:
-    # Exponential integral E1(z) = Gamma(0, z) for 0 < z < 1; the continued
-    # fraction converges too slowly below 1.
-    total = -_EULER_MASCHERONI - math.log(z)
-    term = 1.0
-    for k in range(1, _MAX_ITER + 1):
-        term *= -z / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < abs(total) * _REL_EPS:
-            return total
-    raise ConvergenceError(f"exponential integral series stalled (z={z})")
-
-
-def _snap_to_pole(eta: float) -> float:
-    # A shape within a few ulps of a non-positive integer n is most likely n
-    # itself after rounding (e.g. 1 - 0.3/0.1 = -1.9999999999999996).  Taken
-    # as it is, it cancels to nothing in the recurrence or in
-    # Gamma(eta) * (1 - G); taken as n, it goes down the E1 route, and
-    # Gamma(eta, z) moves by only ~|eta - n| * (1 + |ln z|) relative.
-    n = round(eta)
-    if n <= 0 and abs(eta - n) <= _POLE_SNAP * (1.0 - eta):
-        return float(n)
-    return eta
-
-
 def gamma_cdf(z: float, eta: float) -> float:
     """Gamma distribution function G(z; eta, 1) for eta > 0, z >= 0.
 
@@ -217,19 +202,56 @@ def gamma_cdf(z: float, eta: float) -> float:
     return 1.0 - q
 
 
+def _series_pair(s: float, z: float) -> tuple[float, float]:
+    # (F(s), z F(s + 1)) for s in [-1/2, 1/2), F(eta) = z**-eta e**z Gamma(eta, z):
+    #   z**-s Gamma(s, z) = (Gamma(1+s) - 1)/s + Gamma(1+s) expm1(-s ln z)/s - S_1
+    #   z**-s Gamma(s + 1, z) = Gamma(1+s) z**-s + S_k
+    # with S_c = sum_{k>=1} c (-z)**k / (k! (s+k)), c = 1 or k; all smooth through s = 0
+    q = 0.0
+    for c in _RGAMMA_TAYLOR:
+        q = q * s + c
+    rgamma = 1.0 + s * q  # 1/Gamma(1+s), and (Gamma(1+s) - 1)/s = -q/rgamma
+    ln_z = math.log(z)
+    lead_f = ((math.expm1(-s * ln_z) / s if s else -ln_z) - q) / rgamma
+    lead_g = math.exp(-s * ln_z) / rgamma
+    # below the split both results exceed lead_g / 16, so this leaves < 1e-15 of either
+    tol = 0.1 * _REL_EPS * lead_g
+    term = 1.0
+    sum_f = sum_g = k = 0.0
+    for _ in range(_MAX_ITER):
+        k += 1.0
+        term *= -z / k
+        u = term / (s + k)
+        sum_f += u
+        sum_g += k * u
+        if -tol < term < tol:
+            e_z = math.exp(z)
+            return e_z * (lead_f - sum_f), e_z * (lead_g + sum_g)
+    raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
+
+
+def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
+    # (F(eta), z F(eta + 1)) = z**-eta e**z (Gamma(eta, z), Gamma(eta + 1, z)),
+    # for eta < 1/2 or z >= max(_CF_MIN_Z, eta + 1); no power of z is formed
+    if z >= max(_CF_MIN_Z, eta + 1.0):
+        h = _upper_cf(eta, z)  # F itself
+        return h, 1.0 + eta * h
+    n = math.ceil(-0.5 - eta)  # steps down from the base shape eta + n in [-1/2, 1/2)
+    if n > _MAX_ITER:
+        raise ConvergenceError(f"shape {eta} is over {_MAX_ITER} steps below the series (z={z})")
+    f, g = _series_pair(eta + n, z)
+    for j in range(n - 1, -1, -1):  # z F(s + 1) = 1 + s F(s) downward, |s| >= 1/2
+        f, g = (z * f - 1.0) / (eta + j), z * f
+    return f, g
+
+
 def upper_inc_gamma_general(eta: float, z: float) -> float:
     """Upper incomplete gamma Gamma(eta, z) for any real shape.
 
     Gamma(eta, z) = integral of y**(eta-1) e**-y over [z, inf).  Requires
     z > 0 when eta <= 0 (the integral diverges at z = 0 there); z = 0 with
-    eta > 0 gives the complete gamma function.
-
-    For z >= max(1, eta + 1) the continued fraction gives it directly, in
-    log space.  Below that, positive shapes take
-    Gamma(eta) * (1 - G(z; eta, 1)) with G from its power series, and
-    non-positive shapes (z < 1 there, so e**-z is harmless) are e**-z times
-    :func:`exp_scaled_upper_inc_gamma`, which lifts the shape through the
-    partial-integration recurrence or descends from E1(z) at exact integers.
+    eta > 0 gives the complete gamma function.  The routes are those of
+    :func:`exp_scaled_upper_inc_gamma`, with e**-z folded into the power of z.
     """
     if math.isnan(eta) or math.isinf(eta) or math.isnan(z) or math.isinf(z):
         raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
@@ -239,44 +261,32 @@ def upper_inc_gamma_general(eta: float, z: float) -> float:
         if eta > 0.0:
             return gamma_fn(eta)
         raise ValueError("argument must be > 0 when the shape is <= 0")
-    if z >= max(1.0, eta + 1.0):
-        return math.exp(-z + eta * math.log(z)) * _upper_cf(eta, z)
-    if eta < 0.5:  # the poles are at 0, -1, -2, ...
-        eta = _snap_to_pole(eta)
-    if eta > 0.0:
+    if eta >= 0.5 and z < eta + 1.0:
         return gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
-    return math.exp(-z) * exp_scaled_upper_inc_gamma(eta, z)
+    return math.exp(-z + eta * math.log(z)) * _ratio_pair(eta, z)[0]
 
 
-def exp_scaled_upper_inc_gamma(eta: float, z: float) -> float:
+def exp_scaled_upper_inc_gamma(eta: float, z: float, *, pair: bool = False):
     """e**z * Gamma(eta, z) without forming either factor on its own.
 
-    For z >= max(1, eta + 1) the continued fraction gives
-    Gamma(eta, z) = e**-z * z**eta * H, so the exponential cancels
-    analytically and the result stays finite for arguments far beyond
-    the overflow point of e**z.  For smaller z the exponential is
-    representable and the plain route of :func:`upper_inc_gamma_general`
-    is used in scaled form.
+    For z >= max(1.1, eta + 1) the continued fraction gives it as z**eta * H,
+    finite far beyond the overflow point of e**z; below that, shapes
+    eta >= 1/2 take e**z * Gamma(eta) * (1 - G(z; eta, 1)) and lower shapes
+    the shape-uniform series (see the module docstring).
+
+    ``pair=True`` returns z**-eta e**z (Gamma(eta, z), Gamma(eta + 1, z)), the
+    form in which :mod:`gmlife.life` reads an annuity and its ageing factor;
+    for eta < 1/2 no power of z is formed, so it stays finite where z**eta is not.
     """
     if math.isnan(eta) or math.isinf(eta) or math.isnan(z) or math.isinf(z):
         raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
     if z <= 0.0:
         raise ValueError(f"argument must be > 0, got {z!r}")
-    if z >= max(1.0, eta + 1.0):
-        return math.exp(eta * math.log(z)) * _upper_cf(eta, z)
-    if eta < 0.5:  # the poles are at 0, -1, -2, ...
-        eta = _snap_to_pole(eta)
-    if eta > 0.0:
-        return math.exp(z) * gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
-    # z < 1 from here on, so e**z never overflows
-    if eta == round(eta):
-        val = math.exp(z) * _e1_series(z)
-        for j in range(1, int(-eta) + 1):
-            val = (val - math.exp(-j * math.log(z))) / (-j)
-        return val
-    k = math.ceil(-eta) + 1
-    val = exp_scaled_upper_inc_gamma(eta + k, z)
-    for j in range(k - 1, -1, -1):
-        s = eta + j
-        val = (val - math.exp(s * math.log(z))) / s
-    return val
+    if eta >= 0.5 and z < eta + 1.0:
+        val = math.exp(z) * gamma_fn(eta) * (1.0 - _lower_reg_series(eta, z))
+        if not pair:
+            return val
+        f = val * math.exp(-eta * math.log(z))
+        return f, 1.0 + eta * f
+    f, g = _ratio_pair(eta, z)
+    return (f, g) if pair else math.exp(eta * math.log(z)) * f

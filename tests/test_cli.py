@@ -233,7 +233,12 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_validation_failures_are_exit_2(self, capsys):
+    def test_validation_failures_are_exit_2(self, capsys, monkeypatch):
+        # every case must stop in _validate, before any age grid is built
+        def no_grid(*args):
+            raise AssertionError("age grid built for an invalid argv")
+
+        monkeypatch.setattr(gmlife.cli, "_age_grid", no_grid)
         bad_cases = [
             REMARK_FLAGS + ["--x-min", "5", "--x-max", "1", "--step", "1"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1", "--step", "0"],
@@ -247,12 +252,15 @@ class TestExitCodes:
              "--x-min", "0", "--x-max", "1", "--step", "1", "--double-rate"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "inf", "--step", "1"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1e-300"],
+            # finite, but ~1e300 rows
+            REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1"],
         ]
         for argv in bad_cases:
             code = main(argv)
             err = capsys.readouterr().err
             assert code == 2, argv
             assert err.strip(), argv
+        assert "1e+300 rows; at most 1000000" in err
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
         cases = [

@@ -53,9 +53,16 @@ SHAPE_SIX_FIGURES = 0.727984
 # z**s * e**z * Gamma(-s, z) / gamma with mpmath.gammainc, and quadrature of
 # e**-u (1 + u/z)**-s / (gamma (z + u)) over [0, inf), where s = (alpha+delta)/gamma
 # and z = beta*e^(gamma*x)/gamma.  NEGATIVE_SHAPE_BASIS has shape 1 - s = -1.5;
-# the last two bases have shapes a few ulps from the poles at -2 and 0, since
-# s rounds to 2.9999999999999996 and 0.9999999999999999.
+# the next two bases have shapes a few ulps from the poles at -2 and 0, since
+# s rounds to 2.9999999999999996 and 0.9999999999999999.  The rest are cases
+# that used to come back silently wrong (parent error in brackets): shapes
+# 1e-14 and 1e-12 to each side of the pole at 0 (2.2e-2 .. 2.8e-5), alpha +
+# delta of 1e-10 and 1e-14 (1.0e-7, 4.4e-4), remaining life just below z = 1
+# (1.2e-13, 3.0e-13), and M with alpha << delta (5.8e-11; its reference is
+# D * (1 - delta * a_bar) at 50 digits).
 NEGATIVE_SHAPE_BASIS = GmParams(alpha=0.15, beta=0.0003, gamma_exp=0.08)
+M_CANCELLING_BASIS = GmParams(alpha=0.0, beta=4.76191907872402e-08,
+                              gamma_exp=0.03900903825799581)
 MPMATH_VALUES = [
     (annuity, (BASIS, DELTA, 110.0), ANNUITY_110),
     (annuity, (BASIS, DELTA, 200.0), 1.3206542537255526e-04),
@@ -69,6 +76,15 @@ MPMATH_VALUES = [
     (annuity, (NEGATIVE_SHAPE_BASIS, 0.05, 200.0), 3.7507785475777879e-04),
     (annuity, (GmParams(0.3, 1e-4, 0.1), 0.0, 60.0), 2.8180845616379973),
     (annuity, (GmParams(0.01, 1e-5, 0.1), 0.09, 40.0), 9.745355750744418),
+    (annuity, (GmParams(0.1 * (1 - 1e-14), 1e-4, 0.1), 0.0, 40.0), 8.625106734624492),
+    (annuity, (GmParams(0.1 * (1 + 1e-14), 1e-4, 0.1), 0.0, 40.0), 8.625106734624358),
+    (annuity, (GmParams(0.1 * (1 - 1e-12), 1e-4, 0.1), 0.0, 40.0), 8.625106734631041),
+    (annuity, (GmParams(0.1 * (1 + 1e-12), 1e-4, 0.1), 0.0, 40.0), 8.625106734617809),
+    (annuity, (GmParams(1e-10, BASIS.beta, BASIS.gamma_exp), 0.0, 40.0), 43.90624655956913),
+    (annuity, (GmParams(1e-14, BASIS.beta, BASIS.gamma_exp), 0.0, 40.0), 43.90624666299805),
+    (remaining_life, (BASIS, 85.0), 7.73088957768453),
+    (remaining_life, (BASIS, 89.0), 5.956210371391469),
+    (commutation_m, (M_CANCELLING_BASIS, 0.09476044875527334, 14.37), 3.833447736136324e-07),
 ]
 
 
@@ -321,7 +337,7 @@ class TestPositiveShapeCheck:
 
 class TestShapeRegimes:
     def test_zero_shape_boundary(self):
-        # alpha + delta = gamma routes through the exponential-integral path
+        # alpha + delta = gamma: the series at shape 0, where it is E1(z)
         p = GmParams(0.04, 1e-5, 0.1)
         delta = 0.06
         assert positive_shape_check(p, delta) == 0.0
@@ -351,7 +367,8 @@ class TestShapeRegimes:
         assert closed == pytest.approx(q.value, rel=1e-6)
 
     def test_frozen_high_age(self):
-        # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40, and
-        # two shapes next to a pole
+        # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40, shapes
+        # next to a pole, vanishing alpha + delta, ages just below z = 1 and a
+        # cancelling M (see MPMATH_VALUES)
         for fn, args, expected in MPMATH_VALUES:
             assert fn(*args) == pytest.approx(expected, rel=1e-13), (fn.__name__, args)

@@ -45,6 +45,46 @@ NEAR_POLE_VALUES = [
     (-1.9999999999999996, 0.4, 1.6080401457496543),
 ]
 
+# (eta, z, Gamma(eta, z), e^z Gamma(eta, z)) at 50 digits by mpmath.gammainc,
+# confirmed by mpmath quadrature of the defining integral: shapes 1e-14, 1e-12
+# and 1e-8 to each side of the poles at 0, -1 and -2, the exact poles 0, -1
+# and -3, and one point to each side of the series/continued-fraction split
+# at z = 1.1
+MPMATH_GAMMA_VALUES = [
+    (-1e-14, 0.25, 1.0442826344437437, 1.3408854448314003),
+    (1e-14, 0.25, 1.0442826344437328, 1.3408854448313865),
+    (-1e-12, 0.25, 1.0442826344442786, 1.3408854448320873),
+    (1e-12, 0.25, 1.044282634443198, 1.3408854448306995),
+    (-1e-08, 0.25, 1.0442826398475273, 1.3408854517699962),
+    (1e-08, 0.25, 1.044282629039949, 1.3408854378927908),
+    (-1.00000000000001, 0.5, 0.6532877246491076, 1.077089367516272),
+    (-0.99999999999999, 0.5, 0.6532877246491045, 1.077089367516267),
+    (-1.000000000001, 0.5, 0.6532877246492639, 1.0770893675165298),
+    (-0.999999999999, 0.5, 0.6532877246489482, 1.0770893675160094),
+    (-1.00000001, 0.5, 0.6532877262272262, 1.0770893701181496),
+    (-0.99999999, 0.5, 0.6532877230709859, 1.0770893649143893),
+    (-2.00000000000001, 0.8, 0.2255059399160872, 0.5018726989014153),
+    (-1.99999999999999, 0.8, 0.2255059399160875, 0.5018726989014161),
+    (-2.000000000001, 0.8, 0.22550593991607212, 0.5018726989013818),
+    (-1.999999999999, 0.8, 0.22550593991610257, 0.5018726989014496),
+    (-2.00000001, 0.8, 0.2255059397639035, 0.5018726985627243),
+    (-1.99999999, 0.8, 0.22550594006827118, 0.501872699240107),
+    (0.0, 0.1, 1.8229239584193906, 2.0146425447084515),
+    (-1.0, 0.6, 0.46030655696730866, 0.8387332313931579),
+    (-3.0, 0.9, 0.1341732872281414, 0.33001303470049165),
+    (-0.272, 1.09, 0.16520713379464036, 0.4913712946478562),
+    (-0.272, 1.11, 0.15930925508382057, 0.4834013754748854),
+]
+
+# (eta, z, z^-eta e^z Gamma(eta, z), z^-eta e^z Gamma(eta + 1, z)), the pair
+# form, by the same two routes: the worked basis's annuity shape to each side
+# of the split, and a shape three partial-integration steps below its base
+MPMATH_PAIRS = [
+    (-0.272, 1.09, 0.5030252543568978, 0.8631771308149238),
+    (-0.272, 1.11, 0.49731977907380903, 0.864729020091924),
+    (-2.534, 0.05, 0.3826222833429264, 0.0304351340090246),
+]
+
 # e^800 * Gamma(0.727984, 800): 50-digit evaluation, independently
 # confirmed by the asymptotic expansion z^(eta-1) (1 + (eta-1)/z + ...)
 EXP_SCALED_AT_800 = 0.16224286783454349
@@ -182,6 +222,11 @@ class TestUpperIncGamma:
             got = upper_inc_gamma_general(eta, z)
             assert got == pytest.approx(expected, rel=1e-13), (eta, z)
 
+    def test_frozen_against_mpmath(self):
+        for eta, z, expected, _ in MPMATH_GAMMA_VALUES:
+            got = upper_inc_gamma_general(eta, z)
+            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
+
     def test_recurrence_consistency(self):
         # |eta*G(eta,z) + z^eta e^-z - G(eta+1,z)| <= 1e-10 |G(eta+1,z)|
         rng = np.random.default_rng(20240601)
@@ -237,6 +282,28 @@ class TestExpScaledUpperIncGamma:
             total += term
         assert got == pytest.approx(z ** (eta - 1.0) * total, rel=1e-12)
 
+    def test_frozen_against_mpmath(self):
+        for eta, z, _, expected in MPMATH_GAMMA_VALUES:
+            got = exp_scaled_upper_inc_gamma(eta, z)
+            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
+
+    def test_frozen_pairs(self):
+        for eta, z, f, g in MPMATH_PAIRS:
+            got = exp_scaled_upper_inc_gamma(eta, z, pair=True)
+            assert got == pytest.approx((f, g), rel=1e-13), (eta, z)
+
+    def test_pair_matches_single_products(self):
+        # z^-eta e^z (Gamma(eta, z), Gamma(eta + 1, z)) on every route: the
+        # series with and without steps down, the gamma CDF and the fraction
+        for eta in (-7.3, -2.0, -0.5, -0.272, 0.0, 0.3, 0.5, 2.5):
+            for z in (1e-3, 0.4, 1.0, 1.2, 3.0, 40.0):
+                f, g = exp_scaled_upper_inc_gamma(eta, z, pair=True)
+                scale = z ** -eta
+                assert f == pytest.approx(
+                    scale * exp_scaled_upper_inc_gamma(eta, z), rel=1e-12), (eta, z)
+                assert g == pytest.approx(
+                    scale * exp_scaled_upper_inc_gamma(eta + 1.0, z), rel=1e-12), (eta, z)
+
     def test_scaling_identity(self):
         rng = np.random.default_rng(123)
         for _ in range(400):
@@ -247,6 +314,13 @@ class TestExpScaledUpperIncGamma:
                 continue
             s = exp_scaled_upper_inc_gamma(eta, z)
             assert s * math.exp(-z) == pytest.approx(u, rel=1e-11), (eta, z)
+
+    def test_step_budget_is_reported(self):
+        # below the split, shapes more than _MAX_ITER steps under the series
+        # raise instead of looping; above it the continued fraction serves
+        with pytest.raises(ConvergenceError):
+            exp_scaled_upper_inc_gamma(-600.5, 0.5)
+        assert exp_scaled_upper_inc_gamma(-600.5, 2.0) > 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
