@@ -15,10 +15,11 @@ from .life import (
     commutation_n,
     commutation_row,
     e0,
+    life_table,
     positive_shape_check,
     remaining_life,
 )
-from .mortality import GmParams, cdf, mortality_rate, survival
+from .mortality import GmParams, cdf, mortality_rate, mortality_rates, survival
 from .oracle import (
     McEstimate,
     QuadratureResult,
@@ -46,6 +47,7 @@ __all__ = [
     "ConvergenceError",
     "survival",
     "mortality_rate",
+    "mortality_rates",
     "cdf",
     "e0",
     "remaining_life",
@@ -55,6 +57,7 @@ __all__ = [
     "commutation_n",
     "commutation_m",
     "commutation_row",
+    "life_table",
     "positive_shape_check",
     "gamma_fn",
     "ln_gamma_fn",

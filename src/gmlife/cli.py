@@ -15,6 +15,11 @@ quadrature oracle, appending relative-difference columns and failing
 reports a seeded Monte-Carlo estimate of e_x as a deviation in standard
 errors (informational; seed set with ``--seed``).
 
+A table is computed as columns, one evaluation per rate per table
+(:func:`gmlife.life.life_table` over the whole age grid), and written with
+one format call per row; only the ``--verify`` oracle and Monte-Carlo calls
+run row by row, in age order.
+
 Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
 at some age, 4 verification failure.
 """
@@ -22,8 +27,6 @@ at some age, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -32,14 +35,16 @@ import numpy as np
 
 from . import life, oracle
 from .life import _commutation
-from .mortality import GmParams, mortality_rate, survival
+from .mortality import GmParams, mortality_rate, mortality_rates, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
-_MAX_ROWS = 1_000_000  # every row is held in memory until the table is emitted
+_MAX_ROWS = 1_000_000  # the table is held as columns, ~100 B a row, until emitted
+_EMIT_BLOCK = 1024  # rows formatted per write: only one block's Python floats are alive
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
+_VERIFY_COLUMNS = _DIFF_COLUMNS + ("e_x_mc_dev",)
 
 
 class _UsageError(Exception):
@@ -116,8 +121,8 @@ def _row_count(x_min: float, x_max: float, step: float) -> int:
     return math.floor((x_max - x_min) / step + 1e-9) + 1
 
 
-def _age_grid(x_min: float, x_max: float, step: float) -> list[float]:
-    return [x_min + i * step for i in range(_row_count(x_min, x_max, step))]
+def _age_grid(x_min: float, x_max: float, step: float) -> np.ndarray:
+    return x_min + np.arange(_row_count(x_min, x_max, step)) * step
 
 
 def _quad_tol(closed_value: float, verify_tol: float) -> float:
@@ -126,64 +131,114 @@ def _quad_tol(closed_value: float, verify_tol: float) -> float:
     return max(0.01 * verify_tol, 1e-12) * abs(closed_value) + 1e-300
 
 
-def _one_row(params: GmParams, args, x: float, rng, shape: float | None) -> dict:
-    row: dict[str, float] = {"x": x}
-    row["l"] = survival(params, x)
-    row["mu"] = mortality_rate(params, x)
-    row["D"], row["N"], row["M"], row["a_bar"], xi = _commutation(params, args.delta, x)
-    row["e_x"] = life.remaining_life(params, x)
+def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
+    # one life_table per rate: at rate 0 its D is l and its a_bar is e_x
+    undiscounted = life.life_table(params, 0.0, xs)
+    single = life.life_table(params, args.delta, xs)
+    cols = {"x": xs, "l": undiscounted["D"], "mu": mortality_rates(params, xs)}
+    cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
+    cols["e_x"] = undiscounted["a_bar"]
     if args.double_rate:
-        row["D2"], row["N2"], row["M2"], _, _ = _commutation(params, 2.0 * args.delta, x)
+        double = life.life_table(params, 2.0 * args.delta, xs)
+        cols.update((k + "2", double[k]) for k in ("D", "N", "M"))
     if args.diagnostics:
-        row["ageing_factor"] = xi
-        row["shape"] = shape
-    if args.verify:
-        q_a = oracle.integrate_survival(
-            params, args.delta, x, tol=_quad_tol(row["a_bar"], args.verify_tol))
-        q_m = oracle.integrate_m(
-            params, args.delta, x, tol=_quad_tol(row["M"], args.verify_tol))
-        row["a_bar_rel_diff"] = abs(row["a_bar"] - q_a.value) / abs(q_a.value)
-        row["m_rel_diff"] = abs(row["M"] - q_m.value) / abs(q_m.value)
-        est = oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
-        row["e_x_mc_dev"] = abs(est.mean - row["e_x"]) / est.std_error
-    return row
+        cols["ageing_factor"] = single["ageing_factor"]
+        cols["shape"] = np.full(xs.size, life.positive_shape_check(params, args.delta))
+    return cols
 
 
-def _compute_rows(params: GmParams, args) -> list[dict]:
-    rows = []
+def _verify_row(params: GmParams, args, x: float, a_bar: float, m: float, e_x: float,
+                rng) -> tuple[float, float, float]:
+    # the oracle differences of one row: a_bar, M, and the Monte-Carlo e_x in standard errors
+    q_a = oracle.integrate_survival(params, args.delta, x,
+                                    tol=_quad_tol(a_bar, args.verify_tol))
+    q_m = oracle.integrate_m(params, args.delta, x, tol=_quad_tol(m, args.verify_tol))
+    est = oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
+    return (abs(a_bar - q_a.value) / abs(q_a.value), abs(m - q_m.value) / abs(q_m.value),
+            abs(est.mean - e_x) / est.std_error)
+
+
+def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure | None:
+    # the scalar API along the grid, row by row in column order: names the
+    # first age and the error a batch failure stands for
     rng = np.random.default_rng(args.seed)
-    shape = life.positive_shape_check(params, args.delta) if args.diagnostics else None
-    for x in _age_grid(args.x_min, args.x_max, args.step):
+    for x in xs.tolist():
         try:
-            rows.append(_one_row(params, args, x, rng, shape))
+            survival(params, x)
+            mortality_rate(params, x)
+            _, _, m, a_bar, _ = _commutation(params, args.delta, x)
+            e_x = life.remaining_life(params, x)
+            if args.double_rate:
+                _commutation(params, 2.0 * args.delta, x)
+            if args.verify:
+                _verify_row(params, args, x, a_bar, m, e_x, rng)
         except (OverflowError, ConvergenceError, ValueError) as exc:
-            raise _NumericalFailure(x, exc) from exc
-    return rows
+            return _NumericalFailure(x, exc)
+    return None
 
 
-def _verify_failure(rows: list[dict], tol: float) -> str | None:
+def _compute_columns(params: GmParams, args) -> dict[str, np.ndarray]:
+    xs = _age_grid(args.x_min, args.x_max, args.step)
+    try:
+        # perfbench/tracing.py times the mortality layer through these two
+        # names, so each is called once per table until it reads counters (ROADMAP §4)
+        survival(params, args.x_min)
+        mortality_rate(params, args.x_min)
+        cols = _closed_forms(params, args, xs)
+    except (OverflowError, ConvergenceError, ValueError) as exc:
+        failure = _first_failure(params, args, xs)
+        if failure is None:  # the engines disagree, which the tests rule out
+            raise
+        raise failure from exc
+    if args.verify:
+        # oracle and Monte-Carlo calls stay per row, in age order, so the seeded
+        # draws are those of a row-by-row run
+        rng = np.random.default_rng(args.seed)
+        diffs = []
+        for x, a_bar, m, e_x in zip(*(cols[k].tolist() for k in ("x", "a_bar", "M", "e_x"))):
+            try:
+                diffs.append(_verify_row(params, args, x, a_bar, m, e_x, rng))
+            except (OverflowError, ConvergenceError, ValueError) as exc:
+                raise _NumericalFailure(x, exc) from exc
+        for name, column in zip(_VERIFY_COLUMNS, zip(*diffs)):
+            cols[name] = np.array(column)
+    return cols
+
+
+def _verify_failure(cols: dict[str, np.ndarray], tol: float) -> str | None:
     # None when every verified difference is within tol
-    failed = [row for row in rows if any(row[c] > tol for c in _DIFF_COLUMNS)]
-    if not failed:
+    over = np.column_stack([cols[c] > tol for c in _DIFF_COLUMNS])
+    failed = np.flatnonzero(over.any(axis=1))
+    if not failed.size:
         return None
-    diff, column, x = max((row[c], c, row["x"]) for row in failed
-                          for c in _DIFF_COLUMNS if row[c] > tol)
-    return (f"{len(failed)} of {len(rows)} rows exceed {tol}; worst is "
+    diff, column, x = max((float(cols[c][i]), c, float(cols["x"][i])) for i in failed
+                          for c in _DIFF_COLUMNS if cols[c][i] > tol)
+    return (f"{failed.size} of {cols['x'].size} rows exceed {tol}; worst is "
             f"{column} = {diff:.3g} at age {x:g}")
 
 
-def _emit(rows: list[dict], fmt: str, out) -> None:
-    fields = list(rows[0].keys())
+def _rows(cols: dict[str, np.ndarray]):
+    # the table's rows as tuples of floats, a block of rows at a time
+    n = cols["x"].size
+    for start in range(0, n, _EMIT_BLOCK):
+        yield list(zip(*(c[start:start + _EMIT_BLOCK].tolist() for c in cols.values())))
+
+
+def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
+    fields = list(cols)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(f"{row[k]:.15g}" for k in fields)
-        out.write(buf.getvalue())
+        out.write(",".join(fields) + "\n")
+        line = ",".join(["%.15g"] * len(fields)) + "\n"
+        for rows in _rows(cols):
+            out.write("".join([line % row for row in rows]))
     else:
-        out.write(json.dumps(rows, indent=2))
-        out.write("\n")
+        # json.dumps(all rows, indent=2) is "[\n" + items joined by ",\n" + "\n]";
+        # each block contributes its items
+        out.write("[\n")
+        for i, rows in enumerate(_rows(cols)):
+            block = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
+            out.write((",\n" if i else "") + block[2:-2])
+        out.write("\n]\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -195,12 +250,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        rows = _compute_rows(params, args)
+        cols = _compute_columns(params, args)
     except _NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure {exc}", file=sys.stderr)
         return 3
-    _emit(rows, args.format, sys.stdout)
-    failure = _verify_failure(rows, args.verify_tol) if args.verify else None
+    _emit(cols, args.format, sys.stdout)
+    failure = _verify_failure(cols, args.verify_tol) if args.verify else None
     if failure:
         print(f"{parser.prog}: verification failed: {failure}", file=sys.stderr)
         return 4

@@ -29,8 +29,12 @@ of z formed, so values hold about 1e-14 relative accuracy long after
 survival has vanished (checked to z ~ 1e40); below that a series smooth
 through the poles of Gamma gives it, so no shape needs a special case.
 
-There is one evaluation per rate: one gamma product gives D, N, M, a_bar
-and the ageing factor, and arguments are validated once, at the public API.
+There is one evaluation per rate per table.  At one age, one gamma
+product gives D, N, M, a_bar and the ageing factor.  At one rate the shape
+-r is fixed and only z varies with age, so :func:`life_table` evaluates
+every age of a table in one numpy pass of the batch twins in
+:mod:`gmlife.special`, bit for bit the scalar values.  Arguments are
+validated once, at the public API.
 """
 
 from __future__ import annotations
@@ -38,9 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mortality import GmParams, _check_age, _discounted_survival
+import numpy as np
+
+from .mortality import (GmParams, _check_age, _check_ages, _discounted_survival,
+                        _discounted_survival_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import exp_scaled_upper_inc_gamma
+from .special import _per_element, _ratio_pair_array, exp_scaled_upper_inc_gamma
 
 __all__ = [
     "CommutationRow",
@@ -52,6 +59,7 @@ __all__ = [
     "commutation_n",
     "commutation_m",
     "commutation_row",
+    "life_table",
     "positive_shape_check",
 ]
 
@@ -85,6 +93,18 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     # (gamma * a_bar, xi): both come out of one evaluation, neither by subtraction
     f, xi = exp_scaled_upper_inc_gamma(-(a / gam), z, pair=True)
     return f / gam, 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
+
+
+def _evaluate_table(params: GmParams, a: float, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    # _evaluate at every age of xs, in the same operation order
+    if params.beta == 0.0:
+        if a == 0.0:
+            raise ValueError("alpha, beta and delta are all zero: value is infinite")
+        return np.full(xs.shape, 1.0 / a), np.zeros(xs.shape)
+    gam = params.gamma_exp
+    z = params.beta * _per_element(math.exp, gam * xs) / gam
+    f, xi = _ratio_pair_array(-(a / gam), z)
+    return f / gam, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
 
 
 def e0(params: GmParams) -> float:
@@ -128,12 +148,15 @@ def commutation_d(params: GmParams, delta: float, x: float) -> float:
     return _discounted_survival(params, delta, x)
 
 
-def _commutation(params: GmParams, rate: float, x: float) -> tuple[float, ...]:
+def _commutation(params: GmParams, rate: float, x: float,
+                 discounted_survival=_discounted_survival,
+                 evaluate=_evaluate) -> tuple[float, ...]:
     # D, N = D * a_bar, M, a_bar and xi at one rate; unvalidated.  M = D - rate * N
     # is formed as D * (xi + alpha * a_bar), a sum of non-negative terms, since
     # 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is D itself.
-    d = _discounted_survival(params, rate, x)
-    a_bar, xi = _evaluate(params, params.alpha + rate, x)
+    # life_table passes the batch twins of the first two steps, with an array x.
+    d = discounted_survival(params, rate, x)
+    a_bar, xi = evaluate(params, params.alpha + rate, x)
     m = d * (xi + params.alpha * a_bar) if rate else d
     return d, d * a_bar, m, a_bar, xi
 
@@ -162,6 +185,24 @@ def commutation_row(
     _check_args(rate, x)
     d, n, m, _, _ = _commutation(params, rate, x)
     return CommutationRow(x=x, d_val=d, n_val=n, m_val=m)
+
+
+def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
+    """Every closed-form column at each age of a 1-D array xs, at rate delta.
+
+    Returns arrays keyed D, N, M, a_bar and ageing_factor, each bit for bit
+    what :func:`commutation_row`, :func:`annuity` and :func:`ageing_factor`
+    give at that age (at delta = 0, D is the survival l(x) and a_bar is
+    e_x).  The gamma product is one numpy pass over all ages, since the shape
+    is fixed at one rate.  Where the scalar functions raise at some age
+    (OverflowError, ConvergenceError or ValueError), this raises one of those
+    too, without naming the age.
+    """
+    _check_args(delta)
+    xs = _check_ages(xs)
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+        cols = _commutation(params, delta, xs, _discounted_survival_array, _evaluate_table)
+    return dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), cols))
 
 
 def positive_shape_check(params: GmParams, delta: float) -> float:

@@ -5,6 +5,9 @@ hazard alpha plus a senescent component growing exponentially with age.
 The matching survival function is
 
     l(x) = exp(-alpha*x - (beta/gamma_exp) * (e**(gamma_exp*x) - 1)).
+
+Survival and the force of mortality also come as batch twins over a numpy
+array of ages, bit for bit the scalar functions at every age.
 """
 
 from __future__ import annotations
@@ -12,7 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["GmParams", "survival", "mortality_rate", "cdf"]
+import numpy as np
+
+from .special import _per_element
+
+__all__ = ["GmParams", "survival", "mortality_rate", "mortality_rates", "cdf"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,13 @@ def _check_age(x: float) -> None:
         raise ValueError(f"age must be finite and >= 0, got {x!r}")
 
 
+def _check_ages(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or not np.all((xs >= 0.0) & (xs < math.inf)):
+        raise ValueError("ages must be a 1-D array of finite values >= 0")
+    return xs
+
+
 def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
     # l(x) * e**(-rate*x), unvalidated; exactly l(x) at rate 0.0
     exponent = -(params.alpha + rate) * x
@@ -55,6 +69,15 @@ def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
         # expm1 keeps the senescent exponent accurate for small gamma_exp * x
         exponent -= (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
     return math.exp(exponent)
+
+
+def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray) -> np.ndarray:
+    # _discounted_survival at every age of xs, in the same operation order
+    exponent = -(params.alpha + rate) * xs
+    if params.beta != 0.0:
+        exponent -= (params.beta / params.gamma_exp) * _per_element(
+            math.expm1, params.gamma_exp * xs)
+    return _per_element(math.exp, exponent)
 
 
 def survival(params: GmParams, x: float) -> float:
@@ -73,6 +96,19 @@ def mortality_rate(params: GmParams, x: float) -> float:
     if params.beta == 0.0:
         return params.alpha
     return params.alpha + params.beta * math.exp(params.gamma_exp * x)
+
+
+def mortality_rates(params: GmParams, xs) -> np.ndarray:
+    """:func:`mortality_rate` at every age of a 1-D array of ages.
+
+    Bit for bit the scalar values; raises OverflowError, as the scalar
+    does, when e**(gamma_exp * x) is not representable at some age.
+    """
+    xs = _check_ages(xs)
+    if params.beta == 0.0:
+        return np.full(xs.shape, params.alpha)
+    with np.errstate(all="ignore"):
+        return params.alpha + params.beta * _per_element(math.exp, params.gamma_exp * xs)
 
 
 def cdf(params: GmParams, x: float) -> float:

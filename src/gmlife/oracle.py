@@ -63,7 +63,13 @@ class McEstimate:
 
 
 def _integrate(f, tol):
-    # f maps an array of t to the integrand; returns (value, abs_err, evaluations)
+    # f maps an array of t to the integrand; returns (value, abs_err, evaluations).
+    # e**(gamma t) may overflow to inf in the tail, where the integrand is then 0
+    with np.errstate(over="ignore"):
+        return _gauss_legendre(f, tol)
+
+
+def _gauss_legendre(f, tol):
     cutoff = _TAIL_CUTOFF * f(0.0)
     # bracket the tail between powers of two: f(upper/2) >= cutoff >= f(upper)
     upper, evaluations = 1.0, 3  # f(0.0) and the last test of each loop
@@ -126,17 +132,24 @@ def integrate_m(
     bounds the estimated absolute error of the final value.
     """
     _check_inputs(params, delta, x, tol)
-    ratio = _discounted_survival_ratio(params, delta, x)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
 
     if beta == 0.0:
+        ratio = _discounted_survival_ratio(params, delta, x)
+
         def f(t):
             return alpha * ratio(t)
     else:
-        bx = beta * math.exp(gam * x)
+        # mu(x+t) times the ratio; its senescent part beta e**(gamma (x+t)) ratio
+        # is one exponential, so it is 0, not inf * 0, where the ratio underflows
+        a = alpha + delta
+        bg = beta * math.exp(gam * x) / gam
+        ln_bx = math.log(beta) + gam * x
 
         def f(t):
-            return (alpha + bx * np.exp(gam * t)) * ratio(t)
+            gt = gam * t
+            ln_ratio = -a * t - bg * np.expm1(gt)
+            return alpha * np.exp(ln_ratio) + np.exp(ln_ratio + gt + ln_bx)
 
     # D(x) is the ratio from age 0, taken at t = x
     d_x = float(_discounted_survival_ratio(params, delta, 0.0)(x))

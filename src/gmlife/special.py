@@ -1,6 +1,6 @@
 """Gamma-family special functions for the life-value formulas.
 
-Everything here is scalar double precision with no external dependencies:
+The scalar functions are double precision with no external dependencies:
 the complete gamma function (Lanczos approximation), its logarithm, the
 gamma distribution function (regularized lower incomplete gamma), and the
 upper incomplete gamma function for arbitrary real shape at positive
@@ -24,6 +24,14 @@ terms, and over shapes in [-1/2, 1/2) the series is within 4.9e-15 of
 50-digit mpmath, the fraction 1.2e-14; from z ~ 1.2 up the series'
 alternating sum cancels (3.8e-14 at z = 2) and the fraction wins.
 
+Batch twins of the series, the continued fraction and the downward steps
+evaluate one shape at a numpy array of arguments, for a table of ages at
+one rate.  They do the scalar code's arithmetic in the same order, lane by
+lane, and take exp, expm1 and log from ``math`` per element (numpy's own
+may differ from the C library in the last bit), so every lane is bit for
+bit the scalar result; a lane leaves the loop at the term or iteration
+where the scalar loop would return.
+
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
 of 50-digit mpmath; the factor is the sensitivity to rounding in eta and z.
@@ -32,6 +40,8 @@ of 50-digit mpmath; the factor is the sensitivity to rounding in eta and z.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -74,6 +84,9 @@ _REL_EPS = 1e-15
 _LENTZ_TINY = 1e-300
 # The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
 _CF_MIN_Z = 1.1
+# Below this many arguments the batch twins cost more in numpy calls than the
+# scalar loop does: ~0.7 ms for a continued fraction near z = 1.1 at any width
+_MIN_BATCH_LANES = 256
 
 #: Largest shape for which Gamma(eta) is representable in binary64.
 GAMMA_OVERFLOW_SHAPE = 171.62437695630272
@@ -81,6 +94,11 @@ GAMMA_OVERFLOW_SHAPE = 171.62437695630272
 
 class ConvergenceError(ArithmeticError):
     """A series or continued fraction failed to converge within its budget."""
+
+
+def _per_element(fn, a: np.ndarray) -> np.ndarray:
+    # fn from math applied lane by lane, so a batch twin matches its scalar bit for bit
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
 def _lanczos_series(u: float) -> float:
@@ -185,6 +203,36 @@ def _upper_cf(eta: float, z: float) -> float:
     )
 
 
+def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
+    # _upper_cf at every lane of z; a lane leaves at the iteration where _upper_cf returns
+    out = np.empty_like(z)
+    lanes = np.arange(z.size)
+    b = z + 1.0 - eta
+    c = np.full(z.size, 1.0 / _LENTZ_TINY)
+    d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
+    h = d
+    for i in range(1, _MAX_ITER + 1):
+        an = -i * (i - eta)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
+        c = b + an / c
+        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _REL_EPS
+        if done.any():
+            out[lanes[done]] = h[done]
+            if done.all():
+                return out
+            left = ~done
+            lanes, b, c, d, h = lanes[left], b[left], c[left], d[left], h[left]
+    raise ConvergenceError(
+        f"upper incomplete gamma continued fraction stalled (eta={eta}, z={z[lanes[0]]})"
+    )
+
+
 def gamma_cdf(z: float, eta: float) -> float:
     """Gamma distribution function G(z; eta, 1) for eta > 0, z >= 0.
 
@@ -230,6 +278,40 @@ def _series_pair(s: float, z: float) -> tuple[float, float]:
     raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
 
 
+def _series_pair_array(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _series_pair at every lane of z; a lane leaves at the term where _series_pair returns
+    q = 0.0
+    for c in _RGAMMA_TAYLOR:
+        q = q * s + c
+    rgamma = 1.0 + s * q
+    ln_z = _per_element(math.log, z)
+    lead_f = ((_per_element(math.expm1, -s * ln_z) / s if s else -ln_z) - q) / rgamma
+    lead_g = _per_element(math.exp, -s * ln_z) / rgamma
+    tol = 0.1 * _REL_EPS * lead_g
+    f, g = np.empty_like(z), np.empty_like(z)
+    lanes = np.arange(z.size)
+    term = np.ones_like(z)
+    sum_f, sum_g = np.zeros_like(z), np.zeros_like(z)
+    k = 0.0
+    for _ in range(_MAX_ITER):
+        k += 1.0
+        term = term * (-z / k)
+        u = term / (s + k)
+        sum_f = sum_f + u
+        sum_g = sum_g + k * u
+        done = (-tol < term) & (term < tol)
+        if done.any():
+            e_z = _per_element(math.exp, z[done])
+            f[lanes[done]] = e_z * (lead_f[done] - sum_f[done])
+            g[lanes[done]] = e_z * (lead_g[done] + sum_g[done])
+            if done.all():
+                return f, g
+            left = ~done
+            lanes, z, term, tol = lanes[left], z[left], term[left], tol[left]
+            sum_f, sum_g, lead_f, lead_g = sum_f[left], sum_g[left], lead_f[left], lead_g[left]
+    raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z[0]})")
+
+
 def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     # (F(eta), z F(eta + 1)) = z**-eta e**z (Gamma(eta, z), Gamma(eta + 1, z)),
     # for eta < 1/2 or z >= max(_CF_MIN_Z, eta + 1); no power of z is formed
@@ -242,6 +324,36 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     f, g = _series_pair(eta + n, z)
     for j in range(n - 1, -1, -1):  # z F(s + 1) = 1 + s F(s) downward, |s| >= 1/2
         f, g = (z * f - 1.0) / (eta + j), z * f
+    return f, g
+
+
+def _ratio_pair_array(eta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _ratio_pair at every lane of a 1-D array z, for one finite shape eta < 1/2
+    # and finite z > 0 (exp_scaled_upper_inc_gamma's checks); lane for lane bit-identical
+    if not (math.isfinite(eta) and eta < 0.5):
+        raise ValueError(f"batch shape must be finite and < 1/2, got {eta!r}")
+    if not np.all((z > 0.0) & (z < math.inf)):
+        raise ValueError("batch arguments must be finite and > 0")
+    if z.size < _MIN_BATCH_LANES:
+        f, g = np.array([_ratio_pair(eta, v) for v in z.tolist()]).reshape(-1, 2).T
+        return f, g
+    f, g = np.empty_like(z), np.empty_like(z)
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+        cf = z >= max(_CF_MIN_Z, eta + 1.0)
+        if cf.any():
+            h = _upper_cf_array(eta, z[cf])
+            f[cf], g[cf] = h, 1.0 + eta * h
+        low = ~cf
+        if low.any():
+            z = z[low]
+            n = math.ceil(-0.5 - eta)
+            if n > _MAX_ITER:
+                raise ConvergenceError(
+                    f"shape {eta} is over {_MAX_ITER} steps below the series (z={z[0]})")
+            fl, gl = _series_pair_array(eta + n, z)
+            for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
+                fl, gl = (z * fl - 1.0) / (eta + j), z * fl
+            f[low], g[low] = fl, gl
     return f, g
 
 

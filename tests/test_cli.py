@@ -19,6 +19,7 @@ from gmlife import (
 )
 from gmlife.cli import main
 from gmlife.mortality import GmParams
+from gmlife.special import ConvergenceError
 
 REMARK_FLAGS = [
     "--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
@@ -165,22 +166,27 @@ class TestOneEngine:
                 assert row["mu"] == mortality_rate(p, x), (p, x)
 
     def test_one_engine_evaluation_per_rate(self, capsys, monkeypatch):
-        real = gmlife.life._evaluate
+        real = gmlife.life._evaluate_table
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(gmlife.life, "_evaluate", counting)
-        # a_bar at delta (which also gives the ageing factor), e_x, and a_bar
-        # at 2 * delta; 12 rows, across z = 1
-        for extra, per_row in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
-            calls.clear()
-            code, _, _ = run_cli(capsys, "--x-min", "0", "--x-max", "110",
-                                 "--step", "10", *extra)
-            assert code == 0
-            assert len(calls) == 12 * per_row, extra
+        def per_row(*args):
+            raise AssertionError("a table evaluated row by row")
+
+        monkeypatch.setattr(gmlife.life, "_evaluate_table", counting)
+        monkeypatch.setattr(gmlife.life, "_evaluate", per_row)
+        # one batch per table for a_bar at delta (which also gives the ageing
+        # factor), e_x, and a_bar at 2 * delta, whatever the row count
+        for extra, per_table in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
+            for step in ("10", "0.1"):
+                calls.clear()
+                code, _, _ = run_cli(capsys, "--x-min", "0", "--x-max", "110",
+                                     "--step", step, *extra)
+                assert code == 0
+                assert len(calls) == per_table, (extra, step)
 
 
 class TestVerifyMode:
@@ -264,15 +270,51 @@ class TestExitCodes:
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
         cases = [
+            # e**(gamma*x) is representable at 7000 and overflows at 8000
             (REMARK_FLAGS + ["--x-min", "7000", "--x-max", "8000", "--step", "1000"],
-             ("7000", "8000")),
+             "at age 8000: math range error"),
             # the shape -(alpha + delta)/gamma overflows to -inf
             (["--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
               "--delta", "1e308", "--x-min", "5", "--x-max", "6", "--step", "1"],
-             ("age 5",)),
+             "at age 5: shape and argument must be finite, got "
+             "(-inf, 0.0001965677830446641)"),
+            # shape -600 needs 600 downward steps from the series, over the budget
+            (["--alpha", "60", "--beta", "1e-5", "--gamma", "0.1",
+              "--x-min", "0", "--x-max", "2", "--step", "1"],
+             "at age 0: shape -600.0 is over 500 steps below the series (z=0.0001)"),
         ]
-        for argv, ages in cases:
+        for argv, message in cases:
             code = main(argv)
-            err = capsys.readouterr().err
             assert code == 3, argv
-            assert any(age in err for age in ages), err
+            assert capsys.readouterr().err == f"gmlife: numerical failure {message}\n"
+
+    def test_numerical_failure_matches_the_scalar_api(self, capsys):
+        # the batch path names the age and error of the first failing call
+        # of the scalar API, taken row by row in column order
+        p = GmParams(0.001, 0.000012, 0.101314)
+        cases = [
+            # e**(gamma*x) overflows from age 7006.03 on: the 7th row
+            (p, 0.026559, ["--x-min", "7000", "--x-max", "8000", "--step", "1.005"]),
+            # (alpha + delta)/gamma = 799.5 needs 800 steps down from the series,
+            # over the budget; the series serves the rows below z = 1.1 only
+            (GmParams(81.0, 0.01, 0.101314), 0.0,
+             ["--x-min", "0", "--x-max", "60", "--step", "3", "--double-rate", "--verify"]),
+        ]
+        for params, delta, grid in cases:
+            code = main(["--alpha", repr(params.alpha), "--beta", repr(params.beta),
+                         "--gamma", repr(params.gamma_exp), "--delta", repr(delta), *grid])
+            err = capsys.readouterr().err
+            x_min, x_max, step = (float(v) for v in grid[1:6:2])
+            want = None
+            for i in range(math.floor((x_max - x_min) / step) + 1):
+                x = x_min + i * step
+                try:
+                    survival(params, x)
+                    mortality_rate(params, x)
+                    commutation_row(params, delta, x)
+                    remaining_life(params, x)
+                    commutation_row(params, delta, x, double_rate=True)
+                except (OverflowError, ConvergenceError, ValueError) as exc:
+                    want = f"gmlife: numerical failure at age {x:g}: {exc}\n"
+                    break
+            assert code == 3 and err == want, (err, want)

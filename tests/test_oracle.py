@@ -122,6 +122,13 @@ class TestIntegrateM:
             res = integrate_m(p, 0.0, x, tol=1e-10)
             assert res.value == pytest.approx(survival(p, x), rel=1e-8), (p, x)
 
+    def test_no_nan_where_hazard_overflows_and_survival_underflows(self):
+        # beta = 1e-300 puts the deaths near t = 691, just below where
+        # e**(gamma t) overflows; past it, inf * 0 once gave nan and an
+        # exhausted budget.  Undiscounted, everyone alive at 0 dies: M(0) = 1.
+        res = integrate_m(GmParams(0.0, 1e-300, 1.0), 0.0, 0.0)
+        assert res.value == pytest.approx(1.0, rel=1e-9)
+
     def test_exponential_closed_form(self):
         p = GmParams(0.02, 0.0, 0.1)
         delta = 0.03
