@@ -148,15 +148,17 @@ def commutation_d(params: GmParams, delta: float, x: float) -> float:
     return _discounted_survival(params, delta, x)
 
 
-def _commutation(params: GmParams, rate: float, x: float,
-                 discounted_survival=_discounted_survival,
-                 evaluate=_evaluate) -> tuple[float, ...]:
+def _commutation(params: GmParams, rate: float, x, batch: bool = False) -> tuple:
     # D, N = D * a_bar, M, a_bar and xi at one rate; unvalidated.  M = D - rate * N
     # is formed as D * (xi + alpha * a_bar), a sum of non-negative terms, since
     # 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is D itself.
-    # life_table passes the batch twins of the first two steps, with an array x.
-    d = discounted_survival(params, rate, x)
-    a_bar, xi = evaluate(params, params.alpha + rate, x)
+    # With batch=True (life_table) x is an array of ages and the batch twins run.
+    if batch:
+        d = _discounted_survival_array(params, rate, x)
+        a_bar, xi = _evaluate_table(params, params.alpha + rate, x)
+    else:
+        d = _discounted_survival(params, rate, x)
+        a_bar, xi = _evaluate(params, params.alpha + rate, x)
     m = d * (xi + params.alpha * a_bar) if rate else d
     return d, d * a_bar, m, a_bar, xi
 
@@ -201,7 +203,7 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     _check_args(delta)
     xs = _check_ages(xs)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        cols = _commutation(params, delta, xs, _discounted_survival_array, _evaluate_table)
+        cols = _commutation(params, delta, xs, batch=True)
     return dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), cols))
 
 

@@ -64,7 +64,8 @@ class McEstimate:
 
 def _integrate(f, tol):
     # f maps an array of t to the integrand; returns (value, abs_err, evaluations).
-    # e**(gamma t) may overflow to inf in the tail, where the integrand is then 0
+    # expm1(gamma t) may overflow to inf in the tail of either integrand, whose
+    # log-ratio is then -inf and the integrand exactly 0
     with np.errstate(over="ignore"):
         return _gauss_legendre(f, tol)
 
@@ -97,14 +98,20 @@ def _gauss_legendre(f, tol):
         previous, panels = value, 2 * panels
 
 
-def _discounted_survival_ratio(params: GmParams, delta: float, x: float):
-    # t -> e**(-delta*t) * l(x+t)/l(x), which starts at exactly 1
+def _ln_discounted_survival_ratio(params: GmParams, delta: float, x: float):
+    # t -> ln(e**(-delta*t) * l(x+t)/l(x)), which starts at exactly 0
     a = params.alpha + delta
     if params.beta == 0.0:
-        return lambda t: np.exp(-a * t)
+        return lambda t: -a * t
     bg = params.beta * math.exp(params.gamma_exp * x) / params.gamma_exp
     gam = params.gamma_exp
-    return lambda t: np.exp(-a * t - bg * np.expm1(gam * t))
+    return lambda t: -a * t - bg * np.expm1(gam * t)
+
+
+def _discounted_survival_ratio(params: GmParams, delta: float, x: float):
+    # t -> e**(-delta*t) * l(x+t)/l(x), which starts at exactly 1
+    ln_ratio = _ln_discounted_survival_ratio(params, delta, x)
+    return lambda t: np.exp(ln_ratio(t))
 
 
 def integrate_survival(
@@ -134,22 +141,18 @@ def integrate_m(
     _check_inputs(params, delta, x, tol)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
 
+    ln_ratio = _ln_discounted_survival_ratio(params, delta, x)
     if beta == 0.0:
-        ratio = _discounted_survival_ratio(params, delta, x)
-
         def f(t):
-            return alpha * ratio(t)
+            return alpha * np.exp(ln_ratio(t))
     else:
         # mu(x+t) times the ratio; its senescent part beta e**(gamma (x+t)) ratio
         # is one exponential, so it is 0, not inf * 0, where the ratio underflows
-        a = alpha + delta
-        bg = beta * math.exp(gam * x) / gam
         ln_bx = math.log(beta) + gam * x
 
         def f(t):
-            gt = gam * t
-            ln_ratio = -a * t - bg * np.expm1(gt)
-            return alpha * np.exp(ln_ratio) + np.exp(ln_ratio + gt + ln_bx)
+            ln_r = ln_ratio(t)
+            return alpha * np.exp(ln_r) + np.exp(ln_r + gam * t + ln_bx)
 
     # D(x) is the ratio from age 0, taken at t = x
     d_x = float(_discounted_survival_ratio(params, delta, 0.0)(x))

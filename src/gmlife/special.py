@@ -84,9 +84,6 @@ _REL_EPS = 1e-15
 _LENTZ_TINY = 1e-300
 # The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
 _CF_MIN_Z = 1.1
-# Below this many arguments the batch twins cost more in numpy calls than the
-# scalar loop does: ~0.7 ms for a continued fraction near z = 1.1 at any width
-_MIN_BATCH_LANES = 256
 
 #: Largest shape for which Gamma(eta) is representable in binary64.
 GAMMA_OVERFLOW_SHAPE = 171.62437695630272
@@ -334,9 +331,6 @@ def _ratio_pair_array(eta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"batch shape must be finite and < 1/2, got {eta!r}")
     if not np.all((z > 0.0) & (z < math.inf)):
         raise ValueError("batch arguments must be finite and > 0")
-    if z.size < _MIN_BATCH_LANES:
-        f, g = np.array([_ratio_pair(eta, v) for v in z.tolist()]).reshape(-1, 2).T
-        return f, g
     f, g = np.empty_like(z), np.empty_like(z)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
         cf = z >= max(_CF_MIN_Z, eta + 1.0)

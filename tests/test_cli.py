@@ -177,6 +177,8 @@ class TestOneEngine:
             raise AssertionError("a table evaluated row by row")
 
         monkeypatch.setattr(gmlife.life, "_evaluate_table", counting)
+        # every scalar route (remaining_life, annuity, _commutation) looks _evaluate
+        # up when it runs, so this also catches a per-row _commutation beside the batch
         monkeypatch.setattr(gmlife.life, "_evaluate", per_row)
         # one batch per table for a_bar at delta (which also gives the ageing
         # factor), e_x, and a_bar at 2 * delta, whatever the row count

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmlife import life, special
+from gmlife import life
 from gmlife.life import life_table, remaining_life
 from gmlife.mortality import GmParams, mortality_rate, mortality_rates, survival
 from gmlife.special import _ratio_pair, _ratio_pair_array
@@ -99,19 +99,14 @@ def tables(draw):
 @given(tables())
 def test_sweep_matches_scalar(case):
     params, rate, xs = case
-    with pytest.MonkeyPatch.context() as mp:  # the twins, not the scalar loop, at any width
-        mp.setattr(special, "_MIN_BATCH_LANES", 1)
-        assert_table_matches_scalar(params, rate, xs)
+    assert_table_matches_scalar(params, rate, xs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.floats(-15.0, 0.4999), st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30))
 def test_ratio_pair_twin_matches_scalar(eta, zs):
     # every base shape of the series, not only the non-positive shapes of life
-    z = np.array(zs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(special, "_MIN_BATCH_LANES", 1)
-        f, g = _ratio_pair_array(eta, z)
+    f, g = _ratio_pair_array(eta, np.array(zs))
     want = np.array([_ratio_pair(eta, v) for v in zs])
     assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
     assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")

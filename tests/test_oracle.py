@@ -126,8 +126,12 @@ class TestIntegrateM:
         # beta = 1e-300 puts the deaths near t = 691, just below where
         # e**(gamma t) overflows; past it, inf * 0 once gave nan and an
         # exhausted budget.  Undiscounted, everyone alive at 0 dies: M(0) = 1.
-        res = integrate_m(GmParams(0.0, 1e-300, 1.0), 0.0, 0.0)
+        p = GmParams(0.0, 1e-300, 1.0)
+        res = integrate_m(p, 0.0, 0.0)
         assert res.value == pytest.approx(1.0, rel=1e-9)
+        # the survival integrand's expm1(gamma t) overflows in the same tail
+        res = integrate_survival(p, 0.0, 0.0)
+        assert res.value == pytest.approx(remaining_life(p, 0.0), rel=1e-9)
 
     def test_exponential_closed_form(self):
         p = GmParams(0.02, 0.0, 0.1)
