@@ -24,8 +24,11 @@ from .oracle import (
     McEstimate,
     QuadratureResult,
     integrate_m,
+    integrate_m_table,
     integrate_survival,
+    integrate_survival_table,
     mc_remaining_life,
+    mc_remaining_life_table,
     sample_lifetime,
 )
 from .special import (
@@ -65,8 +68,11 @@ __all__ = [
     "upper_inc_gamma_general",
     "exp_scaled_upper_inc_gamma",
     "integrate_survival",
+    "integrate_survival_table",
     "integrate_m",
+    "integrate_m_table",
     "sample_lifetime",
     "mc_remaining_life",
+    "mc_remaining_life_table",
     "__version__",
 ]

@@ -17,8 +17,10 @@ errors (informational; seed set with ``--seed``).
 
 A table is computed as columns, one evaluation per rate per table
 (:func:`gmlife.life.life_table` over the whole age grid), and written with
-one format call per row; only the ``--verify`` oracle and Monte-Carlo calls
-run row by row, in age order.
+one format call per row.  ``--verify`` adds one lane-batched quadrature per
+integral over the grid and one Monte-Carlo pass through the ages in order,
+so the seeded draws are those of a row-by-row run.  A relative difference
+is 0 where both values are 0 and inf where only the oracle's is.
 
 Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
 at some age, 4 verification failure.
@@ -125,10 +127,18 @@ def _age_grid(x_min: float, x_max: float, step: float) -> np.ndarray:
     return x_min + np.arange(_row_count(x_min, x_max, step)) * step
 
 
-def _quad_tol(closed_value: float, verify_tol: float) -> float:
+def _quad_tol(closed_values, verify_tol: float):
     # keep oracle noise two orders below the comparison tolerance, scaled
     # by the value under check so tiny high-age quantities stay resolvable
-    return max(0.01 * verify_tol, 1e-12) * abs(closed_value) + 1e-300
+    return max(0.01 * verify_tol, 1e-12) * np.abs(closed_values) + 1e-300
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # |num| / |den|, with 0/0 = 0 and d/0 = inf for d != 0, and no numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.abs(num) / np.abs(den)
+    ratio[num == 0.0] = 0.0
+    return ratio
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
@@ -147,15 +157,19 @@ def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarra
     return cols
 
 
-def _verify_row(params: GmParams, args, x: float, a_bar: float, m: float, e_x: float,
-                rng) -> tuple[float, float, float]:
-    # the oracle differences of one row: a_bar, M, and the Monte-Carlo e_x in standard errors
-    q_a = oracle.integrate_survival(params, args.delta, x,
-                                    tol=_quad_tol(a_bar, args.verify_tol))
-    q_m = oracle.integrate_m(params, args.delta, x, tol=_quad_tol(m, args.verify_tol))
-    est = oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
-    return (abs(a_bar - q_a.value) / abs(q_a.value), abs(m - q_m.value) / abs(q_m.value),
-            abs(est.mean - e_x) / est.std_error)
+def _verify_columns(params: GmParams, args,
+                    cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # the oracle differences: a_bar and M against quadrature, relative, and the
+    # Monte-Carlo e_x in standard errors
+    xs, delta = cols["x"], args.delta
+    q_a = oracle.integrate_survival_table(params, delta, xs,
+                                          tol=_quad_tol(cols["a_bar"], args.verify_tol))
+    q_m = oracle.integrate_m_table(params, delta, xs, tol=_quad_tol(cols["M"], args.verify_tol))
+    est = oracle.mc_remaining_life_table(params, xs, _MC_SAMPLES,
+                                         np.random.default_rng(args.seed))
+    return dict(zip(_VERIFY_COLUMNS, (_ratio(cols["a_bar"] - q_a.value, q_a.value),
+                                      _ratio(cols["M"] - q_m.value, q_m.value),
+                                      _ratio(est.mean - cols["e_x"], est.std_error))))
 
 
 def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure | None:
@@ -167,11 +181,14 @@ def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure 
             survival(params, x)
             mortality_rate(params, x)
             _, _, m, a_bar, _ = _commutation(params, args.delta, x)
-            e_x = life.remaining_life(params, x)
+            life.remaining_life(params, x)
             if args.double_rate:
                 _commutation(params, 2.0 * args.delta, x)
             if args.verify:
-                _verify_row(params, args, x, a_bar, m, e_x, rng)
+                oracle.integrate_survival(params, args.delta, x,
+                                          tol=_quad_tol(a_bar, args.verify_tol))
+                oracle.integrate_m(params, args.delta, x, tol=_quad_tol(m, args.verify_tol))
+                oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
         except (OverflowError, ConvergenceError, ValueError) as exc:
             return _NumericalFailure(x, exc)
     return None
@@ -185,23 +202,13 @@ def _compute_columns(params: GmParams, args) -> dict[str, np.ndarray]:
         survival(params, args.x_min)
         mortality_rate(params, args.x_min)
         cols = _closed_forms(params, args, xs)
+        if args.verify:
+            cols.update(_verify_columns(params, args, cols))
     except (OverflowError, ConvergenceError, ValueError) as exc:
         failure = _first_failure(params, args, xs)
         if failure is None:  # the engines disagree, which the tests rule out
             raise
         raise failure from exc
-    if args.verify:
-        # oracle and Monte-Carlo calls stay per row, in age order, so the seeded
-        # draws are those of a row-by-row run
-        rng = np.random.default_rng(args.seed)
-        diffs = []
-        for x, a_bar, m, e_x in zip(*(cols[k].tolist() for k in ("x", "a_bar", "M", "e_x"))):
-            try:
-                diffs.append(_verify_row(params, args, x, a_bar, m, e_x, rng))
-            except (OverflowError, ConvergenceError, ValueError) as exc:
-                raise _NumericalFailure(x, exc) from exc
-        for name, column in zip(_VERIFY_COLUMNS, zip(*diffs)):
-            cols[name] = np.array(column)
     return cols
 
 

@@ -19,9 +19,22 @@ few samples, as adaptive Simpson can be (Lyness, J. ACM 16:483, 1969).
 Plain and auditable on purpose: an oracle has to be simpler than the
 code it checks.
 
+There is one quadrature engine, and it runs lanes: one lane per age of a
+table, each with its own tolerance, tail bracket and evaluation count.
+Ages run in blocks of ``_BLOCK_LANES``, in order, so a failing lane costs
+at most its block's work.  Within a block each panel-doubling level of
+all its lanes is one numpy call (split into chunks of ``_CHUNK_NODES``
+integrand values, which bounds memory), and a lane leaves as soon as it
+has converged.  Each lane repeats the one-lane arithmetic in the same
+order, so ``integrate_survival_table`` and ``integrate_m_table`` equal
+their scalar twins, which are one-lane calls of the same engine, bit for
+bit and in evaluation count.
+
 Monte-Carlo functions take an explicit numpy Generator (``
 numpy.random.default_rng``, the PCG64 algorithm) so results are exactly
-reproducible from a seed.
+reproducible from a seed.  A table walks its ages in order through one
+draw buffer, transformed in place, so it consumes the stream exactly as
+the same scalar calls made in age order would.
 """
 
 from __future__ import annotations
@@ -31,25 +44,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import GmParams, _check_age
-from .special import ConvergenceError
+from .mortality import GmParams, _check_age, _check_ages
+from .special import ConvergenceError, _per_element
 
 __all__ = [
     "QuadratureResult",
     "McEstimate",
     "integrate_survival",
+    "integrate_survival_table",
     "integrate_m",
+    "integrate_m_table",
     "sample_lifetime",
     "mc_remaining_life",
+    "mc_remaining_life_table",
 ]
 
 _TAIL_CUTOFF = 1e-16
 _EVAL_BUDGET = 1_000_000
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
+_LADDER = np.arange(8)  # bracket tests per integrand call: upper * 2**0 ... 2**7
+# ages run together, as a block (a failing lane costs at most one block's work)
+_BLOCK_LANES = 1024
+# integrand values per numpy call (512 KB an array; 1,092 lanes at 4 panels), or
+# one lane's level where that alone is more: bounds memory whatever the table size
+_CHUNK_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """A quadrature; from a ``*_table`` call each field is an array, one lane per age."""
+
     value: float
     abs_error_estimate: float
     evaluations: int
@@ -57,61 +81,99 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A Monte-Carlo estimate; from a ``*_table`` call mean and std_error are arrays."""
+
     mean: float
     std_error: float
     n_samples: int
 
 
-def _integrate(f, tol):
-    # f maps an array of t to the integrand; returns (value, abs_err, evaluations).
+def _gauss_legendre(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # f(t, rows) is the integrand of lanes rows at t of shape (rows.size, k); returns
+    # (value, abs_err, evaluations) per lane.  The lanes run in blocks of ages, in
+    # order, so a lane that fails stops the table once its own block has run.
     # expm1(gamma t) may overflow to inf in the tail of either integrand, whose
-    # log-ratio is then -inf and the integrand exactly 0
+    # log-ratio is then -inf and the integrand 0
     with np.errstate(over="ignore"):
-        return _gauss_legendre(f, tol)
+        blocks = [_gauss_legendre_block(lambda t, rows, start=start: f(t, start + rows),
+                                        tol[start:start + _BLOCK_LANES])
+                  for start in range(0, tol.size, _BLOCK_LANES)]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _gauss_legendre(f, tol):
-    cutoff = _TAIL_CUTOFF * f(0.0)
-    # bracket the tail between powers of two: f(upper/2) >= cutoff >= f(upper)
-    upper, evaluations = 1.0, 3  # f(0.0) and the last test of each loop
-    while f(upper) > cutoff:
-        upper *= 2.0
-        evaluations += 1
-        if upper > 1e15:
+def _gauss_legendre_block(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # _gauss_legendre on the lanes of one block
+    lanes = np.arange(tol.size)
+    cutoff = _TAIL_CUTOFF * f(np.zeros((tol.size, 1)), lanes)[:, 0]
+    # bracket the tail between powers of two: f(upper/2) >= cutoff >= f(upper),
+    # doubling while f(upper) > cutoff, then halving while f(upper/2) < cutoff
+    upper = np.ones(tol.size)
+    evaluations = np.full(tol.size, 3)  # f(0.0) and the last test of each loop
+    rows = lanes
+    while rows.size:
+        k = _steps(f, upper, rows, cutoff, _LADDER, np.greater)
+        upper[rows] *= 2.0 ** k
+        evaluations[rows] += k
+        if (upper[rows] > 1e15).any():
             raise ConvergenceError("integrand does not decay; check the basis")
-    while f(0.5 * upper) < cutoff:
-        upper *= 0.5
-        evaluations += 1
-    previous, panels = math.inf, 1
-    while True:
-        if evaluations + panels * _NODES.size > _EVAL_BUDGET:
+        rows = rows[k == _LADDER.size]
+    # a lane that doubled has f(upper/2) > cutoff, its last doubling test
+    rows = lanes[upper == 1.0]
+    while rows.size:
+        k = _steps(f, upper, rows, cutoff, -1 - _LADDER, np.less)
+        upper[rows] *= 0.5 ** k
+        evaluations[rows] += k
+        rows = rows[k == _LADDER.size]
+    value, err, previous = np.empty(tol.size), np.empty(tol.size), np.full(tol.size, np.inf)
+    rows, panels = lanes, 1
+    while rows.size:
+        if (evaluations[rows] + panels * _NODES.size > _EVAL_BUDGET).any():
             raise ConvergenceError(
                 f"quadrature evaluation budget of {_EVAL_BUDGET} exhausted"
             )
-        half = 0.5 * upper / panels
-        centres = half * (2.0 * np.arange(panels) + 1.0)
-        t = (centres[:, None] + half * _NODES).ravel()
-        value = half * float(np.sum(f(t).reshape(panels, -1) @ _WEIGHTS))
-        evaluations += t.size
-        if abs(value - previous) <= tol:
-            return value, abs(value - previous), evaluations
-        previous, panels = value, 2 * panels
+        step = max(1, _CHUNK_NODES // (panels * _NODES.size))
+        chunks = [rows[i:i + step] for i in range(0, rows.size, step)]
+        level = np.concatenate([_level(f, upper[c], c, panels) for c in chunks])
+        evaluations[rows] += panels * _NODES.size
+        change = np.abs(level - previous[rows])
+        done = change <= tol[rows]
+        value[rows[done]], err[rows[done]] = level[done], change[done]
+        previous[rows] = level
+        rows, panels = rows[~done], 2 * panels
+    return value, err, evaluations
 
 
-def _ln_discounted_survival_ratio(params: GmParams, delta: float, x: float):
-    # t -> ln(e**(-delta*t) * l(x+t)/l(x)), which starts at exactly 0
+def _steps(f, upper, rows, cutoff, exponents, test) -> np.ndarray:
+    # per lane, how many of the tests test(f(upper * 2**e), cutoff) pass in a row,
+    # e running through exponents; one call evaluates the whole run
+    passed = test(f(upper[rows, None] * 2.0 ** exponents, rows), cutoff[rows, None])
+    return np.where(passed.all(axis=1), exponents.size, passed.argmin(axis=1))
+
+
+def _level(f, upper: np.ndarray, rows: np.ndarray, panels: int) -> np.ndarray:
+    # the composite rule on `panels` equal panels of [0, upper], lane by lane
+    half = 0.5 * upper / panels
+    centres = half[:, None] * (2.0 * np.arange(panels) + 1.0)
+    t = centres[:, :, None] + (half[:, None] * _NODES)[:, None, :]
+    fx = f(t.reshape(rows.size, -1), rows).reshape(rows.size, panels, -1)
+    return half * np.sum(fx @ _WEIGHTS, axis=1)
+
+
+def _ln_discounted_survival_ratio(params: GmParams, delta: float, xs: np.ndarray):
+    # (t, rows) -> ln(e**(-delta*t) * l(x+t)/l(x)) at the ages xs[rows], which starts
+    # at exactly 0
     a = params.alpha + delta
     if params.beta == 0.0:
-        return lambda t: -a * t
-    bg = params.beta * math.exp(params.gamma_exp * x) / params.gamma_exp
+        return lambda t, rows: -a * t
     gam = params.gamma_exp
-    return lambda t: -a * t - bg * np.expm1(gam * t)
+    bg = (params.beta * _per_element(math.exp, gam * xs) / gam)[:, None]
+    return lambda t, rows: -a * t - bg[rows] * np.expm1(gam * t)
 
 
-def _discounted_survival_ratio(params: GmParams, delta: float, x: float):
-    # t -> e**(-delta*t) * l(x+t)/l(x), which starts at exactly 1
-    ln_ratio = _ln_discounted_survival_ratio(params, delta, x)
-    return lambda t: np.exp(ln_ratio(t))
+def _first_lane(table: QuadratureResult) -> QuadratureResult:
+    return QuadratureResult(value=float(table.value[0]),
+                            abs_error_estimate=float(table.abs_error_estimate[0]),
+                            evaluations=int(table.evaluations[0]))
 
 
 def integrate_survival(
@@ -122,9 +184,20 @@ def integrate_survival(
     With delta = 0 this is the expected remaining lifetime at x.  The
     estimated absolute error of the returned value is at most tol.
     """
-    _check_inputs(params, delta, x, tol)
-    f = _discounted_survival_ratio(params, delta, x)
-    value, err, evaluations = _integrate(f, tol)
+    _check_age(x)
+    return _first_lane(integrate_survival_table(params, delta, [x], tol))
+
+
+def integrate_survival_table(params: GmParams, delta: float, xs, tol=1e-10) -> QuadratureResult:
+    """:func:`integrate_survival` at every age of a 1-D array of ages.
+
+    ``tol`` is one tolerance or one per age.  Each field of the result is
+    an array whose lanes are the scalar results, bit for bit.  Raises as
+    the scalar call does if any lane fails.
+    """
+    xs, tol = _check_inputs(params, delta, xs, tol)
+    ln_ratio = _ln_discounted_survival_ratio(params, delta, xs)
+    value, err, evaluations = _gauss_legendre(lambda t, rows: np.exp(ln_ratio(t, rows)), tol)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evaluations)
 
 
@@ -138,53 +211,80 @@ def integrate_m(
     keeps relative accuracy even where D(x) itself is tiny; tol still
     bounds the estimated absolute error of the final value.
     """
-    _check_inputs(params, delta, x, tol)
+    _check_age(x)
+    return _first_lane(integrate_m_table(params, delta, [x], tol))
+
+
+def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> QuadratureResult:
+    """:func:`integrate_m` at every age of a 1-D array of ages.
+
+    ``tol`` is one tolerance or one per age.  Each field of the result is
+    an array whose lanes are the scalar results, bit for bit.  Raises as
+    the scalar call does if any lane fails.
+    """
+    xs, tol = _check_inputs(params, delta, xs, tol)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
 
-    ln_ratio = _ln_discounted_survival_ratio(params, delta, x)
+    ln_ratio = _ln_discounted_survival_ratio(params, delta, xs)
     if beta == 0.0:
-        def f(t):
-            return alpha * np.exp(ln_ratio(t))
+        def f(t, rows):
+            return alpha * np.exp(ln_ratio(t, rows))
     else:
         # mu(x+t) times the ratio; its senescent part beta e**(gamma (x+t)) ratio
         # is one exponential, so it is 0, not inf * 0, where the ratio underflows
-        ln_bx = math.log(beta) + gam * x
+        ln_bx = (math.log(beta) + gam * xs)[:, None]
 
-        def f(t):
-            ln_r = ln_ratio(t)
-            return alpha * np.exp(ln_r) + np.exp(ln_r + gam * t + ln_bx)
+        def f(t, rows):
+            ln_r = ln_ratio(t, rows)
+            return alpha * np.exp(ln_r) + np.exp(ln_r + gam * t + ln_bx[rows])
 
     # D(x) is the ratio from age 0, taken at t = x
-    d_x = float(_discounted_survival_ratio(params, delta, 0.0)(x))
-    value, err, evaluations = _integrate(f, tol / d_x if d_x > 0.0 else tol)
+    lanes = np.arange(xs.size)
+    ln_d = _ln_discounted_survival_ratio(params, delta, np.zeros(xs.size))
+    d_x = np.exp(ln_d(xs[:, None], lanes))[:, 0]
+    # the absolute tolerance of the normalized integral, where D(x) > 0
+    scaled = np.divide(tol, d_x, out=tol, where=d_x > 0.0)
+    value, err, evaluations = _gauss_legendre(f, scaled)
     return QuadratureResult(
         value=d_x * value, abs_error_estimate=d_x * err, evaluations=evaluations
     )
 
 
-def _check_inputs(params: GmParams, delta: float, x: float, tol: float) -> None:
-    _check_age(x)
+def _check_inputs(params: GmParams, delta: float, xs, tol) -> tuple[np.ndarray, np.ndarray]:
+    # the ages, and one tolerance per age
+    xs = _check_ages(xs)
     if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
     if params.alpha + params.beta + delta <= 0.0:
         raise ValueError("need alpha + beta + delta > 0 for a convergent integral")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    tol = np.full(xs.shape, tol, dtype=float)
+    if not np.all(tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {float(tol[~(tol > 0.0)][0])!r}")
+    return xs, tol
 
 
-def _sample_lifetimes(params: GmParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((2, n))
+def _sample_lifetimes(params: GmParams, n: int, rng: np.random.Generator,
+                      buf: np.ndarray | None = None) -> np.ndarray:
+    # n lifetimes in buf[0], a (2, n) buffer drawn and transformed in place; the
+    # uniforms are rng.random((2, n)), row 0 for the flat risk and row 1 the senescent
+    buf = np.empty((2, n)) if buf is None else buf
+    flat, sen = rng.random(out=buf)
     if params.alpha > 0.0:
-        t_flat = -np.log1p(-u[0]) / params.alpha
+        # -log1p(-u) / alpha
+        np.log1p(np.negative(flat, out=flat), out=flat)
+        np.divide(np.negative(flat, out=flat), params.alpha, out=flat)
     else:
-        t_flat = np.full(n, np.inf)
+        flat.fill(np.inf)
     if params.beta > 0.0:
         gam = params.gamma_exp
-        # inversion of the pure-Gompertz survival function
-        t_sen = np.log1p(-(gam / params.beta) * np.log1p(-u[1])) / gam
+        # inversion of the pure-Gompertz survival function,
+        # log1p(-(gam / beta) * log1p(-u)) / gam
+        np.log1p(np.negative(sen, out=sen), out=sen)
+        np.log1p(np.multiply(-(gam / params.beta), sen, out=sen), out=sen)
+        np.divide(sen, gam, out=sen)
     else:
-        t_sen = np.full(n, np.inf)
-    return np.minimum(t_flat, t_sen)
+        sen.fill(np.inf)
+    return np.minimum(flat, sen, out=flat)
 
 
 def sample_lifetime(params: GmParams, rng: np.random.Generator) -> float:
@@ -205,19 +305,40 @@ def mc_remaining_life(
     rejection step is needed.
     """
     _check_age(x)
+    est = mc_remaining_life_table(params, [x], n, rng)
+    return McEstimate(mean=float(est.mean[0]), std_error=float(est.std_error[0]),
+                      n_samples=n)
+
+
+def mc_remaining_life_table(
+    params: GmParams, xs, n: int, rng: np.random.Generator
+) -> McEstimate:
+    """:func:`mc_remaining_life` at every age of a 1-D array of ages.
+
+    The ages are sampled in order from rng, through one (2, n) buffer, so
+    mean and std_error are arrays equal to the results of scalar calls
+    made in age order from the same generator.
+    """
+    xs = _check_ages(xs)
     if params.alpha + params.beta <= 0.0:
         raise ValueError("need alpha + beta > 0 to sample a finite lifetime")
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a usable estimate, got {n}")
-    if params.beta > 0.0:
-        shifted = GmParams(
-            params.alpha,
-            params.beta * math.exp(params.gamma_exp * x),
-            params.gamma_exp,
-        )
-    else:
-        shifted = params
-    draws = _sample_lifetimes(shifted, n, rng)
-    mean = float(draws.mean())
-    std_error = float(draws.std(ddof=1) / math.sqrt(n))
+    buf = np.empty((2, n))
+    mean, std_error = np.empty(xs.size), np.empty(xs.size)
+    for i, x in enumerate(xs.tolist()):
+        if params.beta > 0.0:
+            shifted = GmParams(
+                params.alpha,
+                params.beta * math.exp(params.gamma_exp * x),
+                params.gamma_exp,
+            )
+        else:
+            shifted = params
+        draws = _sample_lifetimes(shifted, n, rng, buf)
+        # draws.mean() and draws.std(ddof=1), with the deviations formed in buf[1]
+        mean[i] = np.add.reduce(draws) / n
+        deviations = np.subtract(draws, mean[i], out=buf[1])
+        var = np.add.reduce(np.square(deviations, out=deviations)) / (n - 1)
+        std_error[i] = math.sqrt(var) / math.sqrt(n)
     return McEstimate(mean=mean, std_error=std_error, n_samples=n)

@@ -5,14 +5,19 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import gmlife.life
+import gmlife.oracle
 from gmlife import (
     ageing_factor,
     annuity,
     commutation_d,
     commutation_row,
+    integrate_m,
+    integrate_survival,
+    mc_remaining_life,
     mortality_rate,
     remaining_life,
     survival,
@@ -190,6 +195,25 @@ class TestOneEngine:
                 assert code == 0
                 assert len(calls) == per_table, (extra, step)
 
+    def test_verify_calls_each_oracle_once_per_table(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(gmlife.oracle, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        def per_row(*args, **kwargs):
+            raise AssertionError("an oracle called row by row")
+
+        for name in ("integrate_survival", "integrate_m", "mc_remaining_life"):
+            monkeypatch.setattr(gmlife.oracle, name + "_table", counting(name + "_table"))
+            monkeypatch.setattr(gmlife.oracle, name, per_row)
+        code, _, err = run_cli(capsys, "--x-min", "0", "--x-max", "110", "--step", "5",
+                               "--verify")
+        assert code == 0, err
+        assert sorted(calls) == ["integrate_m_table", "integrate_survival_table",
+                                 "mc_remaining_life_table"]
+
 
 class TestVerifyMode:
     def test_verify_passes_on_worked_basis(self, capsys):
@@ -223,6 +247,32 @@ class TestVerifyMode:
             f"gmlife: verification failed: {len(failed)} of 11 rows exceed 1e-16; "
             f"worst is {column} = {diff:.3g} at age {x:g}\n"
         )
+
+    def test_verify_where_m_underflows_to_zero(self, capsys):
+        # M is 0 in the closed form and in the oracle: 0/0 reads 0, not a traceback
+        code, out, err = run_cli(capsys, "--x-min", "200", "--x-max", "210", "--step", "1",
+                                 "--verify", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)
+        assert len(rows) == 11
+        assert all(row["M"] == 0.0 and row["m_rel_diff"] == 0.0 for row in rows)
+
+    def test_verify_difference_from_a_zero_oracle_value_is_inf_and_fails(
+            self, capsys, monkeypatch):
+        real = gmlife.oracle.integrate_m_table
+
+        def zero_at_age_30(params, delta, xs, tol):
+            q = real(params, delta, xs, tol)
+            value = np.where(xs == 30.0, 0.0, q.value)
+            return gmlife.oracle.QuadratureResult(value, q.abs_error_estimate, q.evaluations)
+
+        monkeypatch.setattr(gmlife.oracle, "integrate_m_table", zero_at_age_30)
+        code, out, err = run_cli(capsys, "--x-min", "0", "--x-max", "100", "--step", "10",
+                                 "--verify", "--format", "json")
+        assert code == 4
+        assert json.loads(out)[3]["m_rel_diff"] == math.inf
+        assert err == ("gmlife: verification failed: 1 of 11 rows exceed 1e-07; "
+                       "worst is m_rel_diff = inf at age 30\n")
 
     def test_verify_seed_changes_only_mc_column(self, capsys):
         _, out1, _ = run_cli(capsys, "--x-min", "0", "--x-max", "0", "--step", "1",
@@ -301,21 +351,30 @@ class TestExitCodes:
             # over the budget; the series serves the rows below z = 1.1 only
             (GmParams(81.0, 0.01, 0.101314), 0.0,
              ["--x-min", "0", "--x-max", "60", "--step", "3", "--double-rate", "--verify"]),
+            # the closed forms hold; at age 7000 the M integrand underflows to 0 and
+            # the quadrature's sums never settle, after every Monte-Carlo draw at
+            # 6990 and 6995 has underflowed to 0
+            (p, 0.026559, ["--x-min", "6990", "--x-max", "7000", "--step", "5", "--verify"]),
         ]
         for params, delta, grid in cases:
             code = main(["--alpha", repr(params.alpha), "--beta", repr(params.beta),
                          "--gamma", repr(params.gamma_exp), "--delta", repr(delta), *grid])
             err = capsys.readouterr().err
             x_min, x_max, step = (float(v) for v in grid[1:6:2])
-            want = None
+            want, rng = None, np.random.default_rng(0)
             for i in range(math.floor((x_max - x_min) / step) + 1):
                 x = x_min + i * step
                 try:
                     survival(params, x)
                     mortality_rate(params, x)
-                    commutation_row(params, delta, x)
+                    row = commutation_row(params, delta, x)
                     remaining_life(params, x)
                     commutation_row(params, delta, x, double_rate=True)
+                    if "--verify" in grid:  # at the CLI's tolerance, 1e-9 of the value
+                        integrate_survival(params, delta, x,
+                                           tol=1e-9 * annuity(params, delta, x) + 1e-300)
+                        integrate_m(params, delta, x, tol=1e-9 * row.m_val + 1e-300)
+                        mc_remaining_life(params, x, 20_000, rng)
                 except (OverflowError, ConvergenceError, ValueError) as exc:
                     want = f"gmlife: numerical failure at age {x:g}: {exc}\n"
                     break

@@ -185,9 +185,10 @@ class TestSampleLifetime:
         # to lifetime 0 for both competing risks
         from gmlife.oracle import _sample_lifetimes
 
-        class Boundary:
-            def random(self, shape):
-                return np.zeros(shape)
+        class Boundary:  # fills the sampler's buffer, as Generator.random(out=...) does
+            def random(self, out):
+                out.fill(0.0)
+                return out
 
         draws = _sample_lifetimes(GmParams(0.001, 1e-5, 0.1), 3, Boundary())
         assert np.all(draws == 0.0)

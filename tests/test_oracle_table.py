@@ -1,0 +1,247 @@
+"""Lane equality of the table oracles with their scalar calls.
+
+``integrate_survival_table`` and ``integrate_m_table`` run one lane per
+age through the one quadrature engine, of which the scalar calls are
+one-lane runs; ``mc_remaining_life_table`` walks its ages in order through
+one draw buffer.  These tests pin that a lane's result does not depend on
+the lanes beside it: value, error estimate and evaluation count bit for
+bit, on the benchmark's verify grid and over a deterministic sweep of
+bases and tolerances, and that the seeded Monte-Carlo stream is the one
+of scalar calls made in age order.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gmlife.oracle as oracle_mod
+from gmlife.life import annuity, commutation_d, commutation_m
+from gmlife.mortality import GmParams, mortality_rate
+from gmlife.oracle import (
+    integrate_m,
+    integrate_m_table,
+    integrate_survival,
+    integrate_survival_table,
+    mc_remaining_life,
+    mc_remaining_life_table,
+)
+from gmlife.special import ConvergenceError
+
+BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
+DELTA = 0.026559
+VERIFY_XS = 0.13 + np.arange(110.0)  # the benchmark's verify grid
+PAIRS = ((integrate_survival_table, integrate_survival), (integrate_m_table, integrate_m))
+
+
+def assert_lanes_match_scalar(table_fn, scalar_fn, params, delta, xs, tols):
+    lanes = []
+    for x, tol in zip(xs.tolist(), tols.tolist()):
+        try:
+            one = scalar_fn(params, delta, x, tol=tol)
+        except ConvergenceError:  # e.g. M underflows to 0 and its sums never settle
+            with pytest.raises(ConvergenceError):
+                table_fn(params, delta, xs, tol=tols)
+            return None
+        lanes.append((one.value, one.abs_error_estimate, one.evaluations))
+    table = table_fn(params, delta, xs, tol=tols)
+    # == on floats is bit equality here: no lane is nan
+    assert list(zip(table.value.tolist(), table.abs_error_estimate.tolist(),
+                    table.evaluations.tolist())) == lanes, (table_fn.__name__, params, delta)
+    return table
+
+
+def reference_gauss_legendre(f, tol):
+    # the one-row engine the lanes replaced, kept as the reference: f maps a
+    # float or an array of t to the integrand of one age
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    cutoff = 1e-16 * f(0.0)
+    upper, evaluations = 1.0, 3
+    while f(upper) > cutoff:
+        upper *= 2.0
+        evaluations += 1
+    while f(0.5 * upper) < cutoff:
+        upper *= 0.5
+        evaluations += 1
+    previous, panels = math.inf, 1
+    while True:
+        half = 0.5 * upper / panels
+        centres = half * (2.0 * np.arange(panels) + 1.0)
+        t = (centres[:, None] + half * nodes).ravel()
+        value = half * float(np.sum(f(t).reshape(panels, -1) @ weights))
+        evaluations += t.size
+        if abs(value - previous) <= tol:
+            return value, abs(value - previous), evaluations
+        previous, panels = value, 2 * panels
+
+
+def reference_quadratures(p, delta, x, tol_a, tol_m):
+    # (value, abs_err, evaluations) of the annuity and M integrals, for beta > 0
+    a, gam = p.alpha + delta, p.gamma_exp
+    bg = p.beta * math.exp(gam * x) / gam
+    ln_bx = math.log(p.beta) + gam * x
+
+    def ln_ratio(t):
+        return -a * t - bg * np.expm1(gam * t)
+
+    survival = reference_gauss_legendre(lambda t: np.exp(ln_ratio(t)), tol_a)
+    d_x = float(np.exp(-a * x - (p.beta * 1.0 / gam) * np.expm1(gam * x)))
+    m = reference_gauss_legendre(
+        lambda t: p.alpha * np.exp(ln_ratio(t)) + np.exp(ln_ratio(t) + gam * t + ln_bx),
+        tol_m / d_x if d_x > 0.0 else tol_m)
+    return survival, (d_x * m[0], d_x * m[1], m[2])
+
+
+def test_lanes_match_the_one_row_engine():
+    # the verify grid at the tolerances --verify uses there, 1e-9 of the closed
+    # form, and rate 1e6, where the tail bracket halves
+    tol_a = 1e-9 * np.array([annuity(BASIS, DELTA, x) for x in VERIFY_XS.tolist()])
+    tol_m = 1e-9 * np.array([commutation_m(BASIS, DELTA, x) for x in VERIFY_XS.tolist()])
+    fast_xs = np.array([0.0, 1e-6, 1e-5, 50.0])
+    cases = [(DELTA, VERIFY_XS, tol_a, tol_m),
+             (1e6, fast_xs, np.full(4, 1e-15), np.full(4, 1e-18))]
+    for delta, xs, tol_a, tol_m in cases:
+        tables = (integrate_survival_table(BASIS, delta, xs, tol=tol_a),
+                  integrate_m_table(BASIS, delta, xs, tol=tol_m))
+        for i, x in enumerate(xs.tolist()):
+            want = reference_quadratures(BASIS, delta, x, tol_a[i], tol_m[i])
+            for table, lane in zip(tables, want):
+                got = (table.value[i], table.abs_error_estimate[i], table.evaluations[i])
+                assert got == lane, (delta, x)
+
+
+def test_verify_grid_lanes_match_scalar():
+    # at the tolerances --verify uses there, 1e-9 of the closed form
+    for (table_fn, scalar_fn), closed, total in zip(PAIRS, (annuity, commutation_m),
+                                                    (16_724, 19_246)):
+        tols = 1e-9 * np.array([closed(BASIS, DELTA, x) for x in VERIFY_XS.tolist()])
+        table = assert_lanes_match_scalar(table_fn, scalar_fn, BASIS, DELTA, VERIFY_XS, tols)
+        # the evaluation count of the per-row quadrature this engine replaced
+        assert table.evaluations.sum() == total
+
+
+def test_blocks_do_not_change_lanes(monkeypatch):
+    # blocks of 7 ages, and a handful of integrand values per numpy call: many
+    # chunks per level, then one lane each
+    monkeypatch.setattr(oracle_mod, "_BLOCK_LANES", 7)
+    monkeypatch.setattr(oracle_mod, "_CHUNK_NODES", 100)
+    tols = 1e-9 * np.array([commutation_m(BASIS, DELTA, x) for x in VERIFY_XS.tolist()])
+    assert_lanes_match_scalar(integrate_m_table, integrate_m, BASIS, DELTA, VERIFY_XS, tols)
+
+
+@st.composite
+def grids(draw):
+    regime = draw(st.sampled_from(("plain", "no_beta", "no_alpha", "fast", "tiny_beta")))
+    if regime == "tiny_beta":  # deaths near t = 691, where e**(gamma t) overflows
+        params, delta = GmParams(0.0, 1e-300, 1.0), 0.0
+    else:
+        gam = draw(st.floats(0.02, 0.2))
+        alpha = 0.0 if regime == "no_alpha" else 10.0 ** draw(st.floats(-4.0, -1.0))
+        beta = 0.0 if regime == "no_beta" else 10.0 ** draw(st.floats(-7.0, -3.0))
+        params = GmParams(alpha, beta, gam)
+        # rate 1e6: the integrand is spent long before t = 1, so the bracket halves
+        delta = 1e6 if regime == "fast" else draw(st.sampled_from((0.0, 0.01, 0.05)))
+    n = draw(st.integers(1, 12))
+    xs = np.array(draw(st.lists(st.floats(0.0, 300.0), min_size=n, max_size=n)))
+    # relative tolerances 1e-11..1e-3, so lanes converge at different levels
+    rel = 10.0 ** np.array(draw(st.lists(st.floats(-11.0, -3.0), min_size=n, max_size=n)))
+    return params, delta, xs, rel
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(grids())
+def test_sweep_lanes_match_scalar(case):
+    params, delta, xs, rel = case
+    # scales of the two integrals with no gamma function, which fails at rate 1e6:
+    # the annuity is at most 1/(mu(x) + delta), and M(x) at most D(x)
+    mu = np.array([mortality_rate(params, x) for x in xs.tolist()])
+    d = np.array([commutation_d(params, delta, x) for x in xs.tolist()])
+    for (table_fn, scalar_fn), scale in zip(PAIRS, (np.minimum(1.0 / (mu + delta), 1e3), d)):
+        assert_lanes_match_scalar(table_fn, scalar_fn, params, delta, xs, rel * scale + 1e-300)
+
+
+def test_one_failing_lane_fails_the_table(monkeypatch):
+    # at age 7000 the M integrand underflows to 0 and its sums never settle; the
+    # blocks after the failing lane's block are not run
+    monkeypatch.setattr(oracle_mod, "_BLOCK_LANES", 3)
+    real, blocks = oracle_mod._gauss_legendre_block, []
+    monkeypatch.setattr(oracle_mod, "_gauss_legendre_block",
+                        lambda f, tol: blocks.append(tol.size) or real(f, tol))
+    xs = np.array([6990.0, 6995.0, 7000.0, 10.0, 20.0, 30.0, 40.0])
+    tols = 1e-9 * np.array([commutation_m(BASIS, DELTA, x) for x in xs.tolist()]) + 1e-300
+    for x, tol in zip(xs.tolist(), tols.tolist()):
+        if x != 7000.0:
+            integrate_m(BASIS, DELTA, x, tol=tol)
+    with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
+        integrate_m(BASIS, DELTA, 7000.0, tol=tols[2])
+    blocks.clear()
+    with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
+        integrate_m_table(BASIS, DELTA, xs, tol=tols)
+    assert blocks == [3]
+
+
+def test_one_lane_over_a_small_budget_fails_the_table(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_EVAL_BUDGET", 100)
+    xs = np.array([10.0, 40.0, 70.0])
+    loose = np.full(3, 1e-2)
+    for table_fn, _ in PAIRS:
+        table_fn(BASIS, DELTA, xs, tol=loose)
+        with pytest.raises(ConvergenceError, match="budget of 100 exhausted"):
+            table_fn(BASIS, DELTA, xs, tol=np.array([1e-2, 1e-12, 1e-2]))
+
+
+def test_table_rejects_what_the_scalar_call_rejects():
+    for table_fn, _ in PAIRS:
+        for bad in ([0.0, -1.0], [0.0, math.nan], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                table_fn(BASIS, DELTA, bad)
+        with pytest.raises(ValueError):
+            table_fn(BASIS, DELTA, [0.0, 1.0], tol=np.array([1e-9, 0.0]))
+        with pytest.raises(ValueError):
+            table_fn(GmParams(0.0, 0.0, 0.1), 0.0, [0.0])
+    with pytest.raises(ValueError):
+        mc_remaining_life_table(BASIS, [0.0, -1.0], 1000, np.random.default_rng(0))
+
+
+def reference_mc(p, x, n, rng):
+    # the allocating sampler the in-place one replaced, kept as the reference
+    beta = p.beta * math.exp(p.gamma_exp * x)
+    u = rng.random((2, n))
+    t_flat = -np.log1p(-u[0]) / p.alpha if p.alpha > 0.0 else np.full(n, np.inf)
+    if beta > 0.0:
+        t_sen = np.log1p(-(p.gamma_exp / beta) * np.log1p(-u[1])) / p.gamma_exp
+    else:
+        t_sen = np.full(n, np.inf)
+    draws = np.minimum(t_flat, t_sen)
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("params", [BASIS, GmParams(0.0, 5e-5, 0.08), GmParams(0.02, 0.0, 0.1)],
+                         ids=["makeham", "no_alpha", "no_beta"])
+def test_mc_table_is_scalar_calls_in_age_order(params):
+    xs = np.array([0.0, 40.0, 40.0, 65.5, 110.0])
+    table = mc_remaining_life_table(params, xs, 5_000, np.random.default_rng(77))
+    scalar_rng, reference_rng = np.random.default_rng(77), np.random.default_rng(77)
+    for i, x in enumerate(xs.tolist()):
+        est = mc_remaining_life(params, x, 5_000, scalar_rng)
+        lane = (table.mean[i], table.std_error[i])
+        assert lane == (est.mean, est.std_error) == reference_mc(params, x, 5_000,
+                                                                 reference_rng), x
+    assert table.n_samples == 5_000
+
+
+def test_mc_allocates_only_its_draw_buffer():
+    # one (2, n) buffer of float64, drawn and transformed in place
+    n = 20_000
+    rng = np.random.default_rng(3)
+    mc_remaining_life(BASIS, 40.0, n, rng)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        mc_remaining_life(BASIS, 40.0, n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * 8 + 64 * 1024
