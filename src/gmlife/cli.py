@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-tol", type=float, default=1e-7,
                    help="relative tolerance for --verify (default 1e-7)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the Monte-Carlo check in --verify mode")
+                   help="seed (>= 0) for the Monte-Carlo check in --verify mode")
     return p
 
 
@@ -111,6 +111,8 @@ def _validate(args) -> GmParams:
                           "are allowed")
     if args.verify and not args.verify_tol > 0.0:
         raise _UsageError("--verify-tol must be > 0")
+    if args.verify and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.diagnostics and args.gamma <= 0.0:
         raise _UsageError("--diagnostics needs gamma > 0 (shape is undefined)")
     if args.diagnostics and args.alpha + args.delta <= 0.0:

@@ -94,6 +94,8 @@ def _gauss_legendre(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # order, so a lane that fails stops the table once its own block has run.
     # expm1(gamma t) may overflow to inf in the tail of either integrand, whose
     # log-ratio is then -inf and the integrand 0
+    if not tol.size:
+        return np.empty(0), np.empty(0), np.empty(0, int)
     with np.errstate(over="ignore"):
         blocks = [_gauss_legendre_block(lambda t, rows, start=start: f(t, start + rows),
                                         tol[start:start + _BLOCK_LANES])
@@ -238,10 +240,11 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
             ln_r = ln_ratio(t, rows)
             return alpha * np.exp(ln_r) + np.exp(ln_r + gam * t + ln_bx[rows])
 
-    # D(x) is the ratio from age 0, taken at t = x
-    lanes = np.arange(xs.size)
-    ln_d = _ln_discounted_survival_ratio(params, delta, np.zeros(xs.size))
-    d_x = np.exp(ln_d(xs[:, None], lanes))[:, 0]
+    # D(x) = e**(-delta x) l(x)
+    ln_d = -(alpha + delta) * xs
+    if beta != 0.0:
+        ln_d = ln_d - (beta / gam) * np.expm1(gam * xs)
+    d_x = np.exp(ln_d)
     # the absolute tolerance of the normalized integral, where D(x) > 0
     scaled = np.divide(tol, d_x, out=tol, where=d_x > 0.0)
     value, err, evaluations = _gauss_legendre(f, scaled)

@@ -302,6 +302,8 @@ class TestExitCodes:
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1", "--step", "0"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1", "--step", "1",
                             "--verify", "--verify-tol", "0"],
+            REMARK_FLAGS + ["--x-min", "0", "--x-max", "1", "--step", "1",
+                            "--verify", "--seed", "-1"],
             ["--alpha", "0.001", "--beta", "0.001", "--gamma", "-0.1",
              "--x-min", "0", "--x-max", "1", "--step", "1"],
             ["--alpha", "0", "--beta", "0", "--gamma", "0.1",

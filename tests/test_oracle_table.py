@@ -121,6 +121,11 @@ def test_verify_grid_lanes_match_scalar():
         table = assert_lanes_match_scalar(table_fn, scalar_fn, BASIS, DELTA, VERIFY_XS, tols)
         # the evaluation count of the per-row quadrature this engine replaced
         assert table.evaluations.sum() == total
+        # no ages give empty lanes, as life_table does
+        empty = assert_lanes_match_scalar(table_fn, scalar_fn, BASIS, DELTA,
+                                          np.empty(0), np.empty(0))
+        assert empty.evaluations.dtype == table.evaluations.dtype
+        assert empty.value.shape == empty.abs_error_estimate.shape == (0,)
 
 
 def test_blocks_do_not_change_lanes(monkeypatch):

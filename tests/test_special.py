@@ -31,6 +31,17 @@ GAMMA_0727984 = 1.2558503633163706
 # ln(99!) from the exact integer factorial, log taken at 50 digits
 LN_FACTORIAL_99 = 359.1342053695754
 
+# (eta, Gamma(eta)) and (eta, ln Gamma(eta)) from mpmath.gamma and mpmath.loggamma
+# at 50 digits; ln Gamma(eta) is finite where Gamma(eta) ~ 1/eta overflows
+MPMATH_GAMMA_FN = [
+    (1e-300, 9.9999999999999997494e299),
+    (0.727984, 1.2558503633163706246),
+    (7.3, 1271.4236336639088399),
+    (63.5, 2.492900600836656441e86),
+    (171.6, 1.585896909667256509e308),
+]
+MPMATH_LN_GAMMA_FN = [(1e-310, 713.8013788281541651), (5e-324, 744.44007192138126231)]
+
 # G(0.000012/0.101314; 0.727984, 1): 50-digit quadrature over [0, z]
 SMALL_Z = 0.000012 / 0.101314
 GAMMA_CDF_SMALL_Z = 0.0015152978322637408
@@ -144,8 +155,14 @@ class TestGammaFn:
                 gamma_fn(bad)
 
     def test_overflow_error(self):
-        with pytest.raises(OverflowError):
-            gamma_fn(172.0)
+        # Gamma(1e-310) ~ 1e310 is not representable either
+        for eta in (172.0, 1e-310):
+            with pytest.raises(OverflowError):
+                gamma_fn(eta)
+
+    def test_frozen_mpmath_values(self):
+        for eta, want in MPMATH_GAMMA_FN:
+            assert gamma_fn(eta) == pytest.approx(want, rel=2e-15), eta
 
 
 class TestLnGammaFn:
@@ -155,6 +172,10 @@ class TestLnGammaFn:
 
     def test_frozen_log_factorial(self):
         assert ln_gamma_fn(100.0) == pytest.approx(LN_FACTORIAL_99, rel=1e-13)
+
+    def test_frozen_mpmath_values(self):
+        for eta, want in MPMATH_LN_GAMMA_FN:
+            assert ln_gamma_fn(eta) == pytest.approx(want, rel=2e-15), eta
 
     def test_consistent_with_gamma_fn(self):
         for eta in (1e-4, 0.1, 0.5, 0.999, 1.5, 7.3, 42.0, 100.0, 160.0, 171.0):
