@@ -18,9 +18,10 @@ errors (informational; seed set with ``--seed``).
 A table is computed as columns, one evaluation per rate per table
 (:func:`gmlife.life.life_table` over the whole age grid), and written with
 one format call per row.  ``--verify`` adds one lane-batched quadrature per
-integral over the grid and one Monte-Carlo pass through the ages in order,
-so the seeded draws are those of a row-by-row run.  A relative difference
-is 0 where both values are 0 and inf where only the oracle's is.
+integral over the grid and one Monte-Carlo table, whose ages share one
+seeded draw: a row's ``e_x_mc_dev`` depends only on its age and ``--seed``,
+not on where the row sits in the grid.  A relative difference is 0 where
+both values are 0 and inf where only the oracle's is.
 
 Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
 at some age, 4 verification failure.
@@ -177,7 +178,6 @@ def _verify_columns(params: GmParams, args,
 def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure | None:
     # the scalar API along the grid, row by row in column order: names the
     # first age and the error a batch failure stands for
-    rng = np.random.default_rng(args.seed)
     for x in xs.tolist():
         try:
             survival(params, x)
@@ -190,7 +190,8 @@ def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure 
                 oracle.integrate_survival(params, args.delta, x,
                                           tol=_quad_tol(a_bar, args.verify_tol))
                 oracle.integrate_m(params, args.delta, x, tol=_quad_tol(m, args.verify_tol))
-                oracle.mc_remaining_life(params, x, _MC_SAMPLES, rng)
+                oracle.mc_remaining_life(params, x, _MC_SAMPLES,
+                                         np.random.default_rng(args.seed))
         except (OverflowError, ConvergenceError, ValueError) as exc:
             return _NumericalFailure(x, exc)
     return None

@@ -32,9 +32,13 @@ bit and in evaluation count.
 
 Monte-Carlo functions take an explicit numpy Generator (``
 numpy.random.default_rng``, the PCG64 algorithm) so results are exactly
-reproducible from a seed.  A table walks its ages in order through one
-draw buffer, transformed in place, so it consumes the stream exactly as
-the same scalar calls made in age order would.
+reproducible from a seed.  Only the scale beta e**(gamma x) of the
+Gompertz draw depends on the age: the flat draw is memoryless and
+log1p(-v) is an Exp(1) variate up to sign at any age.  So a table makes
+one draw, does the age-free part of the sampling once, and gives every
+age the same uniforms (common random numbers): each lane equals a scalar
+call from the generator's state at entry, and the generator advances as
+for one scalar call.
 """
 
 from __future__ import annotations
@@ -224,8 +228,18 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     an array whose lanes are the scalar results, bit for bit.  Raises as
     the scalar call does if any lane fails.
     """
-    xs, tol = _check_inputs(params, delta, xs, tol)
+    all_xs, tol = _check_inputs(params, delta, xs, tol)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
+    # D(x) = e**(-delta x) l(x)
+    ln_d = -(alpha + delta) * all_xs
+    if beta != 0.0:
+        with np.errstate(over="ignore"):  # l(x) is 0 where e**(gamma x) overflows
+            ln_d = ln_d - (beta / gam) * np.expm1(gam * all_xs)
+    d_x = np.exp(ln_d)
+    # where D(x) underflows to 0, so does D(x) times the integral, whatever the
+    # integral is: such lanes run no quadrature and return 0 with 0 evaluations
+    live = np.flatnonzero(d_x > 0.0)
+    xs = all_xs[live]
 
     ln_ratio = _ln_discounted_survival_ratio(params, delta, xs)
     if beta == 0.0:
@@ -240,14 +254,10 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
             ln_r = ln_ratio(t, rows)
             return alpha * np.exp(ln_r) + np.exp(ln_r + gam * t + ln_bx[rows])
 
-    # D(x) = e**(-delta x) l(x)
-    ln_d = -(alpha + delta) * xs
-    if beta != 0.0:
-        ln_d = ln_d - (beta / gam) * np.expm1(gam * xs)
-    d_x = np.exp(ln_d)
-    # the absolute tolerance of the normalized integral, where D(x) > 0
-    scaled = np.divide(tol, d_x, out=tol, where=d_x > 0.0)
-    value, err, evaluations = _gauss_legendre(f, scaled)
+    value, err = np.zeros(all_xs.size), np.zeros(all_xs.size)
+    evaluations = np.zeros(all_xs.size, int)
+    # with the absolute tolerance of the normalized integral
+    value[live], err[live], evaluations[live] = _gauss_legendre(f, tol[live] / d_x[live])
     return QuadratureResult(
         value=d_x * value, abs_error_estimate=d_x * err, evaluations=evaluations
     )
@@ -266,28 +276,38 @@ def _check_inputs(params: GmParams, delta: float, xs, tol) -> tuple[np.ndarray, 
     return xs, tol
 
 
-def _sample_lifetimes(params: GmParams, n: int, rng: np.random.Generator,
-                      buf: np.ndarray | None = None) -> np.ndarray:
-    # n lifetimes in buf[0], a (2, n) buffer drawn and transformed in place; the
-    # uniforms are rng.random((2, n)), row 0 for the flat risk and row 1 the senescent
-    buf = np.empty((2, n)) if buf is None else buf
-    flat, sen = rng.random(out=buf)
+def _age_free_draws(params: GmParams, n: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    # the age-free part of the sampling, in place in the rows of one (2, n) buffer
+    # drawn as rng.random((2, n)): row 0 the flat lifetimes -log1p(-u) / alpha, row 1
+    # log1p(-v), an Exp(1) variate up to sign whatever the age
+    flat, log_v = rng.random(out=np.empty((2, n)))
     if params.alpha > 0.0:
-        # -log1p(-u) / alpha
         np.log1p(np.negative(flat, out=flat), out=flat)
         np.divide(np.negative(flat, out=flat), params.alpha, out=flat)
     else:
         flat.fill(np.inf)
     if params.beta > 0.0:
-        gam = params.gamma_exp
-        # inversion of the pure-Gompertz survival function,
-        # log1p(-(gam / beta) * log1p(-u)) / gam
-        np.log1p(np.negative(sen, out=sen), out=sen)
-        np.log1p(np.multiply(-(gam / params.beta), sen, out=sen), out=sen)
-        np.divide(sen, gam, out=sen)
+        np.log1p(np.negative(log_v, out=log_v), out=log_v)
+    return flat, log_v
+
+
+def _lifetimes(flat: np.ndarray, log_v: np.ndarray, beta: float, gam: float,
+               out: np.ndarray) -> np.ndarray:
+    # into out, the minimum of the flat lifetimes and the inversion of the
+    # pure-Gompertz(beta, gam) survival function, log1p(-(gam / beta) * log1p(-v)) / gam
+    if beta > 0.0:
+        np.log1p(np.multiply(-(gam / beta), log_v, out=out), out=out)
+        np.divide(out, gam, out=out)
     else:
-        sen.fill(np.inf)
-    return np.minimum(flat, sen, out=flat)
+        out.fill(np.inf)
+    return np.minimum(flat, out, out=out)
+
+
+def _sample_lifetimes(params: GmParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    # n lifetimes of the basis, in the second row of the one buffer drawn
+    flat, log_v = _age_free_draws(params, n, rng)
+    return _lifetimes(flat, log_v, params.beta, params.gamma_exp, out=log_v)
 
 
 def sample_lifetime(params: GmParams, rng: np.random.Generator) -> float:
@@ -318,19 +338,25 @@ def mc_remaining_life_table(
 ) -> McEstimate:
     """:func:`mc_remaining_life` at every age of a 1-D array of ages.
 
-    The ages are sampled in order from rng, through one (2, n) buffer, so
-    mean and std_error are arrays equal to the results of scalar calls
-    made in age order from the same generator.
+    One draw serves every age (common random numbers): rng advances by the
+    2n uniforms of one scalar call whatever the number of ages, and lane i
+    of mean and std_error is ``mc_remaining_life(params, xs[i], n, g)`` bit
+    for bit, for a generator g in rng's state at entry.  The age-free part
+    of the sampling runs once per table; each age then only scales, inverts
+    and averages its senescent draws, in one scratch row.
     """
     xs = _check_ages(xs)
     if params.alpha + params.beta <= 0.0:
         raise ValueError("need alpha + beta > 0 to sample a finite lifetime")
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a usable estimate, got {n}")
-    buf = np.empty((2, n))
+    flat, log_v = _age_free_draws(params, n, rng)
+    # one age may overwrite log_v, so a scalar call allocates only its draw buffer
+    scratch = log_v if xs.size == 1 else np.empty(n)
     mean, std_error = np.empty(xs.size), np.empty(xs.size)
     for i, x in enumerate(xs.tolist()):
         if params.beta > 0.0:
+            # the basis aged to x, whose lifetimes are the remaining lifetimes at x
             shifted = GmParams(
                 params.alpha,
                 params.beta * math.exp(params.gamma_exp * x),
@@ -338,10 +364,10 @@ def mc_remaining_life_table(
             )
         else:
             shifted = params
-        draws = _sample_lifetimes(shifted, n, rng, buf)
-        # draws.mean() and draws.std(ddof=1), with the deviations formed in buf[1]
+        draws = _lifetimes(flat, log_v, shifted.beta, shifted.gamma_exp, out=scratch)
+        # draws.mean() and draws.std(ddof=1), with the deviations formed in place
         mean[i] = np.add.reduce(draws) / n
-        deviations = np.subtract(draws, mean[i], out=buf[1])
+        deviations = np.subtract(draws, mean[i], out=scratch)
         var = np.add.reduce(np.square(deviations, out=deviations)) / (n - 1)
         std_error[i] = math.sqrt(var) / math.sqrt(n)
     return McEstimate(mean=mean, std_error=std_error, n_samples=n)

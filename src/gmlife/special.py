@@ -40,6 +40,7 @@ of 50-digit mpmath; the factor is the sensitivity to rounding in eta and z.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -68,6 +69,7 @@ _RGAMMA_TAYLOR = (
 _MAX_ITER = 500
 _REL_EPS = 1e-15
 _LENTZ_TINY = 1e-300
+_MIN_NORMAL = sys.float_info.min
 # The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
 _CF_MIN_Z = 1.1
 
@@ -209,8 +211,11 @@ def _series_pair(s: float, z: float) -> tuple[float, float]:
         q = q * s + c
     rgamma = 1.0 + s * q  # 1/Gamma(1+s), and (Gamma(1+s) - 1)/s = -q/rgamma
     ln_z = math.log(z)
-    lead_f = ((math.expm1(-s * ln_z) / s if s else -ln_z) - q) / rgamma
-    lead_g = math.exp(-s * ln_z) / rgamma
+    y = -s * ln_z
+    # expm1(y)/s is -ln_z to within y/2 where y is 0 or subnormal, and y, rounded
+    # there to an absolute 2**-1074, has lost its digits
+    lead_f = ((math.expm1(y) / s if abs(y) >= _MIN_NORMAL else -ln_z) - q) / rgamma
+    lead_g = math.exp(y) / rgamma
     # below the split both results exceed lead_g / 16, so this leaves < 1e-15 of either
     tol = 0.1 * _REL_EPS * lead_g
     term = 1.0
@@ -234,8 +239,12 @@ def _series_pair_array(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         q = q * s + c
     rgamma = 1.0 + s * q
     ln_z = _per_element(math.log, z)
-    lead_f = ((_per_element(math.expm1, -s * ln_z) / s if s else -ln_z) - q) / rgamma
-    lead_g = _per_element(math.exp, -s * ln_z) / rgamma
+    y = -s * ln_z
+    expm1_y_by_s = -ln_z
+    normal = np.abs(y) >= _MIN_NORMAL
+    expm1_y_by_s[normal] = _per_element(math.expm1, y[normal]) / s
+    lead_f = (expm1_y_by_s - q) / rgamma
+    lead_g = _per_element(math.exp, y) / rgamma
     tol = 0.1 * _REL_EPS * lead_g
     f, g = np.empty_like(z), np.empty_like(z)
     lanes = np.arange(z.size)

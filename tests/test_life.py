@@ -58,11 +58,13 @@ SHAPE_SIX_FIGURES = 0.727984
 # that used to come back silently wrong (parent error in brackets): shapes
 # 1e-14 and 1e-12 to each side of the pole at 0 (2.2e-2 .. 2.8e-5), alpha +
 # delta of 1e-10 and 1e-14 (1.0e-7, 4.4e-4), remaining life just below z = 1
-# (1.2e-13, 3.0e-13), and M with alpha << delta (5.8e-11; its reference is
-# D * (1 - delta * a_bar) at 50 digits).
+# (1.2e-13, 3.0e-13), M with alpha << delta (5.8e-11; its reference is
+# D * (1 - delta * a_bar) at 50 digits), and remaining life at a subnormal
+# shape, alpha = 1e-322 (3.0e-4).
 NEGATIVE_SHAPE_BASIS = GmParams(alpha=0.15, beta=0.0003, gamma_exp=0.08)
 M_CANCELLING_BASIS = GmParams(alpha=0.0, beta=4.76191907872402e-08,
                               gamma_exp=0.03900903825799581)
+SUBNORMAL_ALPHA_BASIS = GmParams(alpha=1e-322, beta=0.000012, gamma_exp=0.101314)
 MPMATH_VALUES = [
     (annuity, (BASIS, DELTA, 110.0), ANNUITY_110),
     (annuity, (BASIS, DELTA, 200.0), 1.3206542537255526e-04),
@@ -85,6 +87,7 @@ MPMATH_VALUES = [
     (remaining_life, (BASIS, 85.0), 7.73088957768453),
     (remaining_life, (BASIS, 89.0), 5.956210371391469),
     (commutation_m, (M_CANCELLING_BASIS, 0.09476044875527334, 14.37), 3.833447736136324e-07),
+    (remaining_life, (SUBNORMAL_ALPHA_BASIS, 40.0), 43.906246663008395787),
 ]
 
 

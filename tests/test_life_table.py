@@ -112,6 +112,18 @@ def test_ratio_pair_twin_matches_scalar(eta, zs):
     assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
 
 
+def test_subnormal_shapes_match_scalar():
+    # base shapes where -s ln z is 0 or subnormal take -ln z in both twins
+    zs = np.array([1e-8, 0.5, 1.0, 1.05, 3.0])
+    for eta in (-5e-324, 5e-324, -1e-319, -1e-300, 0.0):
+        f, g = _ratio_pair_array(eta, zs)
+        want = np.array([_ratio_pair(eta, v) for v in zs.tolist()])
+        assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
+        assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
+    assert_table_matches_scalar(GmParams(1e-322, 0.000012, 0.101314), 0.0,
+                                np.array([0.0, 40.0, 80.0, 100.0]))
+
+
 def test_rejects_what_the_scalar_api_rejects():
     for bad in ([0.0, -1.0], [0.0, math.nan], [0.0, math.inf], [[0.0, 1.0]]):
         with pytest.raises(ValueError):

@@ -2,12 +2,12 @@
 
 ``integrate_survival_table`` and ``integrate_m_table`` run one lane per
 age through the one quadrature engine, of which the scalar calls are
-one-lane runs; ``mc_remaining_life_table`` walks its ages in order through
-one draw buffer.  These tests pin that a lane's result does not depend on
+one-lane runs; ``mc_remaining_life_table`` gives every age the one draw
+of a scalar call.  These tests pin that a lane's result does not depend on
 the lanes beside it: value, error estimate and evaluation count bit for
 bit, on the benchmark's verify grid and over a deterministic sweep of
-bases and tolerances, and that the seeded Monte-Carlo stream is the one
-of scalar calls made in age order.
+bases and tolerances, and that each Monte-Carlo lane is a scalar call from
+the generator's state at entry, which the table advances as one call does.
 """
 
 import math
@@ -42,7 +42,7 @@ def assert_lanes_match_scalar(table_fn, scalar_fn, params, delta, xs, tols):
     for x, tol in zip(xs.tolist(), tols.tolist()):
         try:
             one = scalar_fn(params, delta, x, tol=tol)
-        except ConvergenceError:  # e.g. M underflows to 0 and its sums never settle
+        except ConvergenceError:  # e.g. a tolerance below the sums' rounding noise
             with pytest.raises(ConvergenceError):
                 table_fn(params, delta, xs, tol=tols)
             return None
@@ -89,9 +89,11 @@ def reference_quadratures(p, delta, x, tol_a, tol_m):
 
     survival = reference_gauss_legendre(lambda t: np.exp(ln_ratio(t)), tol_a)
     d_x = float(np.exp(-a * x - (p.beta * 1.0 / gam) * np.expm1(gam * x)))
+    if d_x == 0.0:  # M = D(x) times the integral is 0, and no quadrature runs
+        return survival, (0.0, 0.0, 0)
     m = reference_gauss_legendre(
         lambda t: p.alpha * np.exp(ln_ratio(t)) + np.exp(ln_ratio(t) + gam * t + ln_bx),
-        tol_m / d_x if d_x > 0.0 else tol_m)
+        tol_m / d_x)
     return survival, (d_x * m[0], d_x * m[1], m[2])
 
 
@@ -169,23 +171,44 @@ def test_sweep_lanes_match_scalar(case):
 
 
 def test_one_failing_lane_fails_the_table(monkeypatch):
-    # at age 7000 the M integrand underflows to 0 and its sums never settle; the
-    # blocks after the failing lane's block are not run
+    # on this basis D(x) is 1 to 16 digits, and at age 10 the M sums keep a
+    # rounding noise far above an absolute tolerance of 1e-300: they never settle
+    # and spend the budget.  The blocks after the failing lane's block are not run
     monkeypatch.setattr(oracle_mod, "_BLOCK_LANES", 3)
     real, blocks = oracle_mod._gauss_legendre_block, []
     monkeypatch.setattr(oracle_mod, "_gauss_legendre_block",
                         lambda f, tol: blocks.append(tol.size) or real(f, tol))
-    xs = np.array([6990.0, 6995.0, 7000.0, 10.0, 20.0, 30.0, 40.0])
-    tols = 1e-9 * np.array([commutation_m(BASIS, DELTA, x) for x in xs.tolist()]) + 1e-300
+    params = GmParams(0.0, 1e-300, 1.0)
+    xs = np.array([2.0, 3.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+    tols = np.array([1e-9, 1e-9, 1e-300, 1e-9, 1e-9, 1e-9, 1e-9])
     for x, tol in zip(xs.tolist(), tols.tolist()):
-        if x != 7000.0:
-            integrate_m(BASIS, DELTA, x, tol=tol)
+        if x != 10.0:
+            integrate_m(params, 0.0, x, tol=tol)
     with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
-        integrate_m(BASIS, DELTA, 7000.0, tol=tols[2])
+        integrate_m(params, 0.0, 10.0, tol=1e-300)
     blocks.clear()
     with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
-        integrate_m_table(BASIS, DELTA, xs, tol=tols)
+        integrate_m_table(params, 0.0, xs, tol=tols)
     assert blocks == [3]
+
+
+def test_m_lanes_where_d_underflows_run_no_quadrature(monkeypatch):
+    # D(x) is 0 from about age 140 on the worked basis, and so is M(x) = D(x)
+    # times the integral: such lanes are 0, with 0 evaluations, whatever the
+    # tolerance, and only the other lanes reach the engine
+    real, lanes = oracle_mod._gauss_legendre, []
+    monkeypatch.setattr(oracle_mod, "_gauss_legendre",
+                        lambda f, tol: lanes.append(tol.size) or real(f, tol))
+    xs = np.array([40.0, 200.0, 6990.0, 7000.0, 8000.0, 60.0])
+    table = integrate_m_table(BASIS, DELTA, xs, tol=1e-300)
+    assert lanes == [2]
+    dead = [1, 2, 3, 4]
+    assert table.value[dead].tolist() == table.abs_error_estimate[dead].tolist() == [0.0] * 4
+    assert table.evaluations[dead].tolist() == [0] * 4
+    for x in (40.0, 60.0):
+        assert table.value[xs == x] == integrate_m(BASIS, DELTA, x, tol=1e-300).value
+    assert integrate_m(BASIS, DELTA, 7000.0, tol=1e-300) == oracle_mod.QuadratureResult(
+        value=0.0, abs_error_estimate=0.0, evaluations=0)
 
 
 def test_one_lane_over_a_small_budget_fails_the_table(monkeypatch):
@@ -226,16 +249,21 @@ def reference_mc(p, x, n, rng):
 
 @pytest.mark.parametrize("params", [BASIS, GmParams(0.0, 5e-5, 0.08), GmParams(0.02, 0.0, 0.1)],
                          ids=["makeham", "no_alpha", "no_beta"])
-def test_mc_table_is_scalar_calls_in_age_order(params):
+def test_mc_table_lanes_are_scalar_calls_from_one_draw(params):
+    # every age gets the draw of one scalar call from the generator's state at
+    # entry, and the table advances the generator as that one call does
     xs = np.array([0.0, 40.0, 40.0, 65.5, 110.0])
-    table = mc_remaining_life_table(params, xs, 5_000, np.random.default_rng(77))
-    scalar_rng, reference_rng = np.random.default_rng(77), np.random.default_rng(77)
+    rng = np.random.default_rng(77)
+    table = mc_remaining_life_table(params, xs, 5_000, rng)
     for i, x in enumerate(xs.tolist()):
-        est = mc_remaining_life(params, x, 5_000, scalar_rng)
+        est = mc_remaining_life(params, x, 5_000, np.random.default_rng(77))
         lane = (table.mean[i], table.std_error[i])
-        assert lane == (est.mean, est.std_error) == reference_mc(params, x, 5_000,
-                                                                 reference_rng), x
+        assert lane == (est.mean, est.std_error) == reference_mc(
+            params, x, 5_000, np.random.default_rng(77)), x
     assert table.n_samples == 5_000
+    one_call = np.random.default_rng(77)
+    mc_remaining_life(params, 0.0, 5_000, one_call)
+    assert rng.bit_generator.state == one_call.bit_generator.state
 
 
 def test_mc_allocates_only_its_draw_buffer():
@@ -250,3 +278,17 @@ def test_mc_allocates_only_its_draw_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * 8 + 64 * 1024
+
+
+def test_mc_table_memory_does_not_grow_with_the_ages():
+    # the draw buffer and one scratch row, however many ages
+    n = 20_000
+    rng = np.random.default_rng(3)
+    mc_remaining_life_table(BASIS, VERIFY_XS, n, rng)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        mc_remaining_life_table(BASIS, VERIFY_XS, n, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * 8 + 64 * 1024

@@ -308,6 +308,14 @@ class TestExpScaledUpperIncGamma:
             got = exp_scaled_upper_inc_gamma(eta, z)
             assert got == pytest.approx(expected, rel=1e-13), (eta, z)
 
+    def test_subnormal_base_shape(self):
+        # -s ln z is 0 or subnormal, where expm1(-s ln z)/s is -ln z to within
+        # |s ln z|/2; forming the quotient there was 55% and 2.6e-5 off.  e^z E1(z)
+        # at z = 1/2 by 50-digit mpmath.gammainc
+        for eta in (-5e-324, -1e-319):
+            got = exp_scaled_upper_inc_gamma(eta, 0.5)
+            assert got == pytest.approx(0.92291063248373046883, rel=1e-13), eta
+
     def test_frozen_pairs(self):
         for eta, z, f, g in MPMATH_PAIRS:
             got = exp_scaled_upper_inc_gamma(eta, z, pair=True)
