@@ -24,7 +24,11 @@ not on where the row sits in the grid.  A relative difference is 0 where
 both values are 0 and inf where only the oracle's is.
 
 Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
-at some age, 4 verification failure.
+at some age, 4 verification failure.  Exit 3 names the first age at which
+the scalar API raises, taking a row's calls in column order (rate delta,
+rate 0, twice the rate, then the oracles), and that call's error.  The
+columns find it on their own: a batch that fails names a lane, an age at
+which the scalar call raises the same, and the ages before it run again.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import sys
 import numpy as np
 
 from . import life, oracle
-from .life import _commutation
 from .mortality import GmParams, mortality_rate, mortality_rates, survival
 from .special import ConvergenceError
 
@@ -145,9 +148,10 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
-    # one life_table per rate: at rate 0 its D is l and its a_bar is e_x
-    undiscounted = life.life_table(params, 0.0, xs)
+    # one life_table per rate, in the scalar API's row order (mu fails only where
+    # D does): at rate 0 its D is l and its a_bar is e_x
     single = life.life_table(params, args.delta, xs)
+    undiscounted = life.life_table(params, 0.0, xs)
     cols = {"x": xs, "l": undiscounted["D"], "mu": mortality_rates(params, xs)}
     cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
     cols["e_x"] = undiscounted["a_bar"]
@@ -175,43 +179,21 @@ def _verify_columns(params: GmParams, args,
                                       _ratio(est.mean - cols["e_x"], est.std_error))))
 
 
-def _first_failure(params: GmParams, args, xs: np.ndarray) -> _NumericalFailure | None:
-    # the scalar API along the grid, row by row in column order: names the
-    # first age and the error a batch failure stands for
-    for x in xs.tolist():
-        try:
-            survival(params, x)
-            mortality_rate(params, x)
-            _, _, m, a_bar, _ = _commutation(params, args.delta, x)
-            life.remaining_life(params, x)
-            if args.double_rate:
-                _commutation(params, 2.0 * args.delta, x)
-            if args.verify:
-                oracle.integrate_survival(params, args.delta, x,
-                                          tol=_quad_tol(a_bar, args.verify_tol))
-                oracle.integrate_m(params, args.delta, x, tol=_quad_tol(m, args.verify_tol))
-                oracle.mc_remaining_life(params, x, _MC_SAMPLES,
-                                         np.random.default_rng(args.seed))
-        except (OverflowError, ConvergenceError, ValueError) as exc:
-            return _NumericalFailure(x, exc)
-    return None
-
-
-def _compute_columns(params: GmParams, args) -> dict[str, np.ndarray]:
-    xs = _age_grid(args.x_min, args.x_max, args.step)
+def _compute_columns(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
     try:
-        # perfbench/tracing.py times the mortality layer through these two
-        # names, so each is called once per table until it reads counters (ROADMAP §4)
-        survival(params, args.x_min)
-        mortality_rate(params, args.x_min)
         cols = _closed_forms(params, args, xs)
         if args.verify:
             cols.update(_verify_columns(params, args, cols))
     except (OverflowError, ConvergenceError, ValueError) as exc:
-        failure = _first_failure(params, args, xs)
-        if failure is None:  # the engines disagree, which the tests rule out
-            raise
-        raise failure from exc
+        # the scalar API raises exc at age xs[exc.lane], and in its row order only
+        # an earlier age can fail first: the ages before it run again
+        if exc.lane:
+            _compute_columns(params, args, xs[:exc.lane])
+        raise _NumericalFailure(xs[exc.lane], exc) from exc
+    # perfbench/tracing.py times the mortality layer through these two names, so
+    # each is called once per table until it reads counters (ROADMAP §1)
+    survival(params, args.x_min)
+    mortality_rate(params, args.x_min)
     return cols
 
 
@@ -260,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        cols = _compute_columns(params, args)
+        cols = _compute_columns(params, args, _age_grid(args.x_min, args.x_max, args.step))
     except _NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure {exc}", file=sys.stderr)
         return 3

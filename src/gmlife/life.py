@@ -47,7 +47,7 @@ import numpy as np
 from .mortality import (GmParams, _check_age, _check_ages, _discounted_survival,
                         _discounted_survival_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import _per_element, _ratio_pair_array, exp_scaled_upper_inc_gamma
+from .special import _at_lane, _per_element, _ratio_pair_array, exp_scaled_upper_inc_gamma
 
 __all__ = [
     "CommutationRow",
@@ -99,7 +99,7 @@ def _evaluate_table(params: GmParams, a: float, xs: np.ndarray) -> tuple[np.ndar
     # _evaluate at every age of xs, in the same operation order
     if params.beta == 0.0:
         if a == 0.0:
-            raise ValueError("alpha, beta and delta are all zero: value is infinite")
+            raise _at_lane(ValueError("alpha, beta and delta are all zero: value is infinite"), 0)
         return np.full(xs.shape, 1.0 / a), np.zeros(xs.shape)
     gam = params.gamma_exp
     z = params.beta * _per_element(math.exp, gam * xs) / gam
@@ -197,8 +197,9 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     give at that age (at delta = 0, D is the survival l(x) and a_bar is
     e_x).  The gamma product is one numpy pass over all ages, since the shape
     is fixed at one rate.  Where the scalar functions raise at some age
-    (OverflowError, ConvergenceError or ValueError), this raises one of those
-    too, without naming the age.
+    (OverflowError, ConvergenceError or ValueError), this raises too, and the
+    exception's ``lane`` attribute is the index in xs of an age at which
+    :func:`commutation_row` raises the same type and text.
     """
     _check_args(delta)
     xs = _check_ages(xs)

@@ -62,13 +62,18 @@ def _check_ages(xs) -> np.ndarray:
     return xs
 
 
-def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
-    # l(x) * e**(-rate*x), unvalidated; exactly l(x) at rate 0.0
+def _ln_discounted_survival(params: GmParams, rate: float, x: float) -> float:
+    # ln(l(x) * e**(-rate*x)), unvalidated
     exponent = -(params.alpha + rate) * x
     if params.beta != 0.0:
         # expm1 keeps the senescent exponent accurate for small gamma_exp * x
         exponent -= (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
-    return math.exp(exponent)
+    return exponent
+
+
+def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
+    # l(x) * e**(-rate*x), unvalidated; exactly l(x) at rate 0.0
+    return math.exp(_ln_discounted_survival(params, rate, x))
 
 
 def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray) -> np.ndarray:
@@ -102,7 +107,8 @@ def mortality_rates(params: GmParams, xs) -> np.ndarray:
     """:func:`mortality_rate` at every age of a 1-D array of ages.
 
     Bit for bit the scalar values; raises OverflowError, as the scalar
-    does, when e**(gamma_exp * x) is not representable at some age.
+    does, when e**(gamma_exp * x) is not representable at some age, with a
+    ``lane`` attribute: the index in xs of the first such age.
     """
     xs = _check_ages(xs)
     if params.beta == 0.0:
@@ -112,5 +118,10 @@ def mortality_rates(params: GmParams, xs) -> np.ndarray:
 
 
 def cdf(params: GmParams, x: float) -> float:
-    """Lifetime distribution function F(x) = 1 - l(x)."""
-    return 1.0 - survival(params, x)
+    """Lifetime distribution function F(x) = 1 - l(x).
+
+    Formed as -expm1 of the exponent of l(x), so it keeps its relative
+    accuracy at small ages, where 1 - l(x) would cancel.
+    """
+    _check_age(x)
+    return -math.expm1(_ln_discounted_survival(params, 0.0, x))

@@ -11,9 +11,10 @@ Two deliberately simple routes that never touch the gamma-function code:
 
 The quadrature is composite 15-point Gauss-Legendre on equal panels,
 doubling the panel count until two successive sums agree within the
-tolerance.  The upper limit is the power of two at which the integrand
-first falls below 1e-16 of its value at t = 0 (found by doubling or
-halving from 1), so a fast decay is resolved like a slow one.  Every
+tolerance, or within 4 ulps of the sum where the tolerance is finer than
+that rounding noise.  The upper limit is the power of two at which the
+integrand first falls below 1e-16 of its value at t = 0 (found by
+doubling or halving from 1), so a fast decay is resolved like a slow one.  Every
 panel is refined at once, so no region can be declared converged on too
 few samples, as adaptive Simpson can be (Lyness, J. ACM 16:483, 1969).
 Plain and auditable on purpose: an oracle has to be simpler than the
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mortality import GmParams, _check_age, _check_ages
-from .special import ConvergenceError, _per_element
+from .special import ConvergenceError, _at_lane, _on_lanes, _per_element
 
 __all__ = [
     "QuadratureResult",
@@ -65,6 +66,7 @@ __all__ = [
 
 _TAIL_CUTOFF = 1e-16
 _EVAL_BUDGET = 1_000_000
+_ULP_FLOOR = 4  # each lane's tolerance is at least this many ulps of its sum
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 _LADDER = np.arange(8)  # bracket tests per integrand call: upper * 2**0 ... 2**7
 # ages run together, as a block (a failing lane costs at most one block's work)
@@ -101,8 +103,9 @@ def _gauss_legendre(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     if not tol.size:
         return np.empty(0), np.empty(0), np.empty(0, int)
     with np.errstate(over="ignore"):
-        blocks = [_gauss_legendre_block(lambda t, rows, start=start: f(t, start + rows),
-                                        tol[start:start + _BLOCK_LANES])
+        blocks = [_on_lanes(range(start, tol.size), _gauss_legendre_block,
+                            lambda t, rows, start=start: f(t, start + rows),
+                            tol[start:start + _BLOCK_LANES])
                   for start in range(0, tol.size, _BLOCK_LANES)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
@@ -120,8 +123,10 @@ def _gauss_legendre_block(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         k = _steps(f, upper, rows, cutoff, _LADDER, np.greater)
         upper[rows] *= 2.0 ** k
         evaluations[rows] += k
-        if (upper[rows] > 1e15).any():
-            raise ConvergenceError("integrand does not decay; check the basis")
+        far = upper[rows] > 1e15
+        if far.any():
+            raise _at_lane(ConvergenceError("integrand does not decay; check the basis"),
+                           rows[far.argmax()])
         rows = rows[k == _LADDER.size]
     # a lane that doubled has f(upper/2) > cutoff, its last doubling test
     rows = lanes[upper == 1.0]
@@ -133,16 +138,17 @@ def _gauss_legendre_block(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     value, err, previous = np.empty(tol.size), np.empty(tol.size), np.full(tol.size, np.inf)
     rows, panels = lanes, 1
     while rows.size:
-        if (evaluations[rows] + panels * _NODES.size > _EVAL_BUDGET).any():
-            raise ConvergenceError(
-                f"quadrature evaluation budget of {_EVAL_BUDGET} exhausted"
-            )
+        over = evaluations[rows] + panels * _NODES.size > _EVAL_BUDGET
+        if over.any():
+            raise _at_lane(ConvergenceError(
+                f"quadrature evaluation budget of {_EVAL_BUDGET} exhausted"), rows[over.argmax()])
         step = max(1, _CHUNK_NODES // (panels * _NODES.size))
         chunks = [rows[i:i + step] for i in range(0, rows.size, step)]
         level = np.concatenate([_level(f, upper[c], c, panels) for c in chunks])
         evaluations[rows] += panels * _NODES.size
         change = np.abs(level - previous[rows])
-        done = change <= tol[rows]
+        # a tolerance finer than the sums' rounding noise could never be met
+        done = change <= np.maximum(tol[rows], _ULP_FLOOR * np.spacing(np.abs(level)))
         value[rows[done]], err[rows[done]] = level[done], change[done]
         previous[rows] = level
         rows, panels = rows[~done], 2 * panels
@@ -188,7 +194,8 @@ def integrate_survival(
     """Quadrature of the annuity integral: e**(-delta*t) l(x+t)/l(x) over [0, inf).
 
     With delta = 0 this is the expected remaining lifetime at x.  The
-    estimated absolute error of the returned value is at most tol.
+    estimated absolute error of the returned value is at most tol, or 4 ulps
+    of the value where tol is finer than that.
     """
     _check_age(x)
     return _first_lane(integrate_survival_table(params, delta, [x], tol))
@@ -198,8 +205,9 @@ def integrate_survival_table(params: GmParams, delta: float, xs, tol=1e-10) -> Q
     """:func:`integrate_survival` at every age of a 1-D array of ages.
 
     ``tol`` is one tolerance or one per age.  Each field of the result is
-    an array whose lanes are the scalar results, bit for bit.  Raises as
-    the scalar call does if any lane fails.
+    an array whose lanes are the scalar results, bit for bit.  If any lane
+    fails, raises with a ``lane`` attribute: the index of an age at which
+    the scalar call raises the same type and text.
     """
     xs, tol = _check_inputs(params, delta, xs, tol)
     ln_ratio = _ln_discounted_survival_ratio(params, delta, xs)
@@ -215,7 +223,8 @@ def integrate_m(
     Internally integrates the normalized form
     D(x) * integral of mu(x+t) e**(-delta*t) l(x+t)/l(x) dt, so the result
     keeps relative accuracy even where D(x) itself is tiny; tol still
-    bounds the estimated absolute error of the final value.
+    bounds the estimated absolute error of the final value (or 4 ulps of
+    the normalized integral, as in :func:`integrate_survival`).
     """
     _check_age(x)
     return _first_lane(integrate_m_table(params, delta, [x], tol))
@@ -225,8 +234,9 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     """:func:`integrate_m` at every age of a 1-D array of ages.
 
     ``tol`` is one tolerance or one per age.  Each field of the result is
-    an array whose lanes are the scalar results, bit for bit.  Raises as
-    the scalar call does if any lane fails.
+    an array whose lanes are the scalar results, bit for bit.  If any lane
+    fails, raises with a ``lane`` attribute: the index of an age at which
+    the scalar call raises the same type and text.
     """
     all_xs, tol = _check_inputs(params, delta, xs, tol)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
@@ -257,7 +267,8 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     value, err = np.zeros(all_xs.size), np.zeros(all_xs.size)
     evaluations = np.zeros(all_xs.size, int)
     # with the absolute tolerance of the normalized integral
-    value[live], err[live], evaluations[live] = _gauss_legendre(f, tol[live] / d_x[live])
+    value[live], err[live], evaluations[live] = _on_lanes(live, _gauss_legendre,
+                                                          f, tol[live] / d_x[live])
     return QuadratureResult(
         value=d_x * value, abs_error_estimate=d_x * err, evaluations=evaluations
     )
@@ -343,7 +354,9 @@ def mc_remaining_life_table(
     of mean and std_error is ``mc_remaining_life(params, xs[i], n, g)`` bit
     for bit, for a generator g in rng's state at entry.  The age-free part
     of the sampling runs once per table; each age then only scales, inverts
-    and averages its senescent draws, in one scratch row.
+    and averages its senescent draws, in one scratch row.  Where an aged
+    basis is not representable, raises with a ``lane`` attribute: the index
+    of the first such age, at which the scalar call raises the same.
     """
     xs = _check_ages(xs)
     if params.alpha + params.beta <= 0.0:
@@ -355,15 +368,18 @@ def mc_remaining_life_table(
     scratch = log_v if xs.size == 1 else np.empty(n)
     mean, std_error = np.empty(xs.size), np.empty(xs.size)
     for i, x in enumerate(xs.tolist()):
-        if params.beta > 0.0:
-            # the basis aged to x, whose lifetimes are the remaining lifetimes at x
-            shifted = GmParams(
-                params.alpha,
-                params.beta * math.exp(params.gamma_exp * x),
-                params.gamma_exp,
-            )
-        else:
-            shifted = params
+        try:
+            if params.beta > 0.0:
+                # the basis aged to x, whose lifetimes are the remaining lifetimes at x
+                shifted = GmParams(
+                    params.alpha,
+                    params.beta * math.exp(params.gamma_exp * x),
+                    params.gamma_exp,
+                )
+            else:
+                shifted = params
+        except (OverflowError, ValueError) as exc:  # e**(gamma x) or the aged beta is inf
+            raise _at_lane(exc, i)
         draws = _lifetimes(flat, log_v, shifted.beta, shifted.gamma_exp, out=scratch)
         # draws.mean() and draws.std(ddof=1), with the deviations formed in place
         mean[i] = np.add.reduce(draws) / n

@@ -81,9 +81,28 @@ class ConvergenceError(ArithmeticError):
     """A series or continued fraction failed to converge within its budget."""
 
 
+def _at_lane(exc: Exception, lane) -> Exception:
+    # exc, naming a lane at which the scalar code raises exc's type and text
+    exc.lane = int(lane)
+    return exc
+
+
+def _on_lanes(index, fn, *args):
+    # fn(*args), where lane i of fn's arrays is lane index[i] of the caller's; an
+    # exception with no lane comes from scalar code, a call of one lane
+    try:
+        return fn(*args)
+    except (OverflowError, ConvergenceError, ValueError) as exc:
+        raise _at_lane(exc, index[getattr(exc, "lane", 0)])
+
+
 def _per_element(fn, a: np.ndarray) -> np.ndarray:
     # fn from math applied lane by lane, so a batch twin matches its scalar bit for bit
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
+    values = iter(a.tolist())
+    try:
+        return np.fromiter(map(fn, values), float, a.size)
+    except (OverflowError, ValueError) as exc:  # map stopped at the lane that raised
+        raise _at_lane(exc, a.size - 1 - len(list(values)))
 
 
 def _check_shape_positive(eta: float) -> None:
@@ -179,9 +198,9 @@ def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
                 return out
             left = ~done
             lanes, b, c, d, h = lanes[left], b[left], c[left], d[left], h[left]
-    raise ConvergenceError(
+    raise _at_lane(ConvergenceError(
         f"upper incomplete gamma continued fraction stalled (eta={eta}, z={z[lanes[0]]})"
-    )
+    ), lanes[0])
 
 
 def gamma_cdf(z: float, eta: float) -> float:
@@ -267,7 +286,8 @@ def _series_pair_array(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             left = ~done
             lanes, z, term, tol = lanes[left], z[left], term[left], tol[left]
             sum_f, sum_g, lead_f, lead_g = sum_f[left], sum_g[left], lead_f[left], lead_g[left]
-    raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z[0]})")
+    raise _at_lane(ConvergenceError(f"shape-uniform series stalled (s={s}, z={z[0]})"),
+                   lanes[0])
 
 
 def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
@@ -286,26 +306,28 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
 
 
 def _ratio_pair_array(eta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _ratio_pair at every lane of a 1-D array z, for one finite shape eta < 1/2
-    # and finite z > 0 (exp_scaled_upper_inc_gamma's checks); lane for lane bit-identical
-    if not (math.isfinite(eta) and eta < 0.5):
-        raise ValueError(f"batch shape must be finite and < 1/2, got {eta!r}")
-    if not np.all((z > 0.0) & (z < math.inf)):
-        raise ValueError("batch arguments must be finite and > 0")
+    # _ratio_pair at every lane of a 1-D array z, for one shape eta < 1/2; lane for
+    # lane bit-identical.  Where eta or a lane of z fails the argument checks of
+    # exp_scaled_upper_inc_gamma, they raise at the first such lane
+    ok = (z > 0.0) & (z < math.inf) & math.isfinite(eta)  # nan fails too
+    if not ok.all():
+        lane = ok.argmin()
+        _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
     f, g = np.empty_like(z), np.empty_like(z)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        cf = z >= max(_CF_MIN_Z, eta + 1.0)
-        if cf.any():
-            h = _upper_cf_array(eta, z[cf])
+        split = z >= max(_CF_MIN_Z, eta + 1.0)
+        cf, low = np.flatnonzero(split), np.flatnonzero(~split)
+        if cf.size:
+            h = _on_lanes(cf, _upper_cf_array, eta, z[cf])
             f[cf], g[cf] = h, 1.0 + eta * h
-        low = ~cf
-        if low.any():
+        if low.size:
             z = z[low]
             n = math.ceil(-0.5 - eta)
             if n > _MAX_ITER:
-                raise ConvergenceError(
-                    f"shape {eta} is over {_MAX_ITER} steps below the series (z={z[0]})")
-            fl, gl = _series_pair_array(eta + n, z)
+                raise _at_lane(ConvergenceError(
+                    f"shape {eta} is over {_MAX_ITER} steps below the series (z={z[0]})"),
+                    low[0])
+            fl, gl = _on_lanes(low, _series_pair_array, eta + n, z)
             for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
                 fl, gl = (z * fl - 1.0) / (eta + j), z * fl
             f[low], g[low] = fl, gl

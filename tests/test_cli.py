@@ -32,6 +32,69 @@ REMARK_FLAGS = [
 ]
 
 
+# argv that exit 3, and the stderr message after "gmlife: numerical failure "
+EXIT_3_CASES = [
+    # e**(gamma*x) is representable at 7000 and overflows at 8000
+    (REMARK_FLAGS + ["--x-min", "7000", "--x-max", "8000", "--step", "1000"],
+     "at age 8000: math range error"),
+    # the shape -(alpha + delta)/gamma overflows to -inf
+    (["--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
+      "--delta", "1e308", "--x-min", "5", "--x-max", "6", "--step", "1"],
+     "at age 5: shape and argument must be finite, got "
+     "(-inf, 0.0001965677830446641)"),
+    # shape -600 needs 600 downward steps from the series, over the budget
+    (["--alpha", "60", "--beta", "1e-5", "--gamma", "0.1",
+      "--x-min", "0", "--x-max", "2", "--step", "1"],
+     "at age 0: shape -600.0 is over 500 steps below the series (z=0.0001)"),
+]
+
+# (basis, delta, grid flags) that exit 3 with the scalar API's first failure
+SCALAR_API_CASES = [
+    # e**(gamma*x) overflows from age 7006.03 on: the 7th row
+    (GmParams(0.001, 0.000012, 0.101314), 0.026559,
+     ["--x-min", "7000", "--x-max", "8000", "--step", "1.005"]),
+    # (alpha + delta)/gamma = 799.5 needs 800 steps down from the series,
+    # over the budget; the series serves the rows below z = 1.1 only
+    (GmParams(81.0, 0.01, 0.101314), 0.0,
+     ["--x-min", "0", "--x-max", "60", "--step", "3", "--double-rate", "--verify"]),
+    # every rate fails at age 0; the rate-delta column comes first in a row,
+    # so its shape -600.3 is named, not the -600.0 of e_x
+    (GmParams(60.0, 1e-5, 0.1), 0.03,
+     ["--x-min", "0", "--x-max", "2", "--step", "1", "--double-rate"]),
+    # D overflows at age 8000, but the step budget fails at age 0 already
+    (GmParams(81.0, 0.01, 0.101314), 0.0,
+     ["--x-min", "0", "--x-max", "8000", "--step", "1000"]),
+]
+
+
+def scalar_api_argv(params, delta, grid):
+    return ["--alpha", repr(params.alpha), "--beta", repr(params.beta),
+            "--gamma", repr(params.gamma_exp), "--delta", repr(delta), *grid]
+
+
+def scalar_api_failure(params, delta, grid):
+    # the stderr line for the first failing call of the scalar API, row by row
+    # in column order
+    x_min, x_max, step = (float(v) for v in grid[1:6:2])
+    for i in range(math.floor((x_max - x_min) / step) + 1):
+        x = x_min + i * step
+        try:
+            survival(params, x)
+            mortality_rate(params, x)
+            row = commutation_row(params, delta, x)
+            remaining_life(params, x)
+            if "--double-rate" in grid:
+                commutation_row(params, delta, x, double_rate=True)
+            if "--verify" in grid:  # at the CLI's tolerance, 1e-9 of the value
+                integrate_survival(params, delta, x,
+                                   tol=1e-9 * annuity(params, delta, x) + 1e-300)
+                integrate_m(params, delta, x, tol=1e-9 * row.m_val + 1e-300)
+                mc_remaining_life(params, x, 20_000, np.random.default_rng(0))
+        except (OverflowError, ConvergenceError, ValueError) as exc:
+            return f"gmlife: numerical failure at age {x:g}: {exc}\n"
+    return None
+
+
 def run_cli(capsys, *extra):
     code = main(REMARK_FLAGS + list(extra))
     out = capsys.readouterr()
@@ -340,21 +403,7 @@ class TestExitCodes:
         assert "1e+300 rows; at most 1000000" in err
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
-        cases = [
-            # e**(gamma*x) is representable at 7000 and overflows at 8000
-            (REMARK_FLAGS + ["--x-min", "7000", "--x-max", "8000", "--step", "1000"],
-             "at age 8000: math range error"),
-            # the shape -(alpha + delta)/gamma overflows to -inf
-            (["--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
-              "--delta", "1e308", "--x-min", "5", "--x-max", "6", "--step", "1"],
-             "at age 5: shape and argument must be finite, got "
-             "(-inf, 0.0001965677830446641)"),
-            # shape -600 needs 600 downward steps from the series, over the budget
-            (["--alpha", "60", "--beta", "1e-5", "--gamma", "0.1",
-              "--x-min", "0", "--x-max", "2", "--step", "1"],
-             "at age 0: shape -600.0 is over 500 steps below the series (z=0.0001)"),
-        ]
-        for argv, message in cases:
+        for argv, message in EXIT_3_CASES:
             code = main(argv)
             assert code == 3, argv
             assert capsys.readouterr().err == f"gmlife: numerical failure {message}\n"
@@ -362,35 +411,32 @@ class TestExitCodes:
     def test_numerical_failure_matches_the_scalar_api(self, capsys):
         # the batch path names the age and error of the first failing call
         # of the scalar API, taken row by row in column order
-        p = GmParams(0.001, 0.000012, 0.101314)
-        cases = [
-            # e**(gamma*x) overflows from age 7006.03 on: the 7th row
-            (p, 0.026559, ["--x-min", "7000", "--x-max", "8000", "--step", "1.005"]),
-            # (alpha + delta)/gamma = 799.5 needs 800 steps down from the series,
-            # over the budget; the series serves the rows below z = 1.1 only
-            (GmParams(81.0, 0.01, 0.101314), 0.0,
-             ["--x-min", "0", "--x-max", "60", "--step", "3", "--double-rate", "--verify"]),
-        ]
-        for params, delta, grid in cases:
-            code = main(["--alpha", repr(params.alpha), "--beta", repr(params.beta),
-                         "--gamma", repr(params.gamma_exp), "--delta", repr(delta), *grid])
+        for case in SCALAR_API_CASES:
+            code = main(scalar_api_argv(*case))
             err = capsys.readouterr().err
-            x_min, x_max, step = (float(v) for v in grid[1:6:2])
-            want = None
-            for i in range(math.floor((x_max - x_min) / step) + 1):
-                x = x_min + i * step
-                try:
-                    survival(params, x)
-                    mortality_rate(params, x)
-                    row = commutation_row(params, delta, x)
-                    remaining_life(params, x)
-                    commutation_row(params, delta, x, double_rate=True)
-                    if "--verify" in grid:  # at the CLI's tolerance, 1e-9 of the value
-                        integrate_survival(params, delta, x,
-                                           tol=1e-9 * annuity(params, delta, x) + 1e-300)
-                        integrate_m(params, delta, x, tol=1e-9 * row.m_val + 1e-300)
-                        mc_remaining_life(params, x, 20_000, np.random.default_rng(0))
-                except (OverflowError, ConvergenceError, ValueError) as exc:
-                    want = f"gmlife: numerical failure at age {x:g}: {exc}\n"
-                    break
+            want = scalar_api_failure(*case)
             assert code == 3 and err == want, (err, want)
+
+    def test_numerical_failure_makes_no_scalar_call(self, capsys, monkeypatch):
+        # the batch columns alone name the failing age: with the scalar life and
+        # oracle calls raising, every pinned case gives the same stderr, and no
+        # case computes the closed-form columns more than twice
+        cases = [(argv, f"gmlife: numerical failure {message}\n")
+                 for argv, message in EXIT_3_CASES]
+        cases += [(scalar_api_argv(*case), scalar_api_failure(*case))
+                  for case in SCALAR_API_CASES]
+
+        def scalar_call(*args, **kwargs):
+            raise AssertionError("a scalar call on the failure path")
+
+        monkeypatch.setattr(gmlife.life, "_evaluate", scalar_call)
+        for name in ("integrate_survival", "integrate_m", "mc_remaining_life"):
+            monkeypatch.setattr(gmlife.oracle, name, scalar_call)
+        real, passes = gmlife.cli._closed_forms, []
+        monkeypatch.setattr(gmlife.cli, "_closed_forms",
+                            lambda *args: passes.append(args) or real(*args))
+        for argv, want in cases:
+            passes.clear()
+            code = main(argv)
+            assert code == 3 and capsys.readouterr().err == want, argv
+            assert 1 <= len(passes) <= 2, argv

@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmlife import life
+from gmlife import life, special
 from gmlife.life import life_table, remaining_life
 from gmlife.mortality import GmParams, mortality_rate, mortality_rates, survival
-from gmlife.special import _ratio_pair, _ratio_pair_array
+from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array
 
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 DELTA = 0.026559
@@ -34,14 +34,32 @@ def assert_bits_equal(batch, scalar, what):
                           f"{b[bad[0]]!r} != {s[bad[0]]!r}")
 
 
+def assert_raises_the_same(exc, scalar, *args):
+    # the lane contract: the scalar call at the age exc.lane names raises exc's
+    # type and text
+    with pytest.raises(type(exc)) as at_lane:
+        scalar(*args)
+    assert type(at_lane.value) is type(exc) and str(at_lane.value) == str(exc)
+
+
 def assert_table_matches_scalar(params, rate, xs):
-    table = life_table(params, rate, xs)
-    # _commutation is what commutation_row, annuity and ageing_factor read
-    rows = np.array([life._commutation(params, rate, x) for x in xs.tolist()])
-    for j, name in enumerate(COLUMNS):
-        assert_bits_equal(table[name], rows[:, j], f"{name} at {params}, rate {rate}")
-    assert_bits_equal(mortality_rates(params, xs),
-                      [mortality_rate(params, x) for x in xs.tolist()], f"mu at {params}")
+    # where the scalar calls all return, so must the batch, bit for bit
+    try:
+        table = life_table(params, rate, xs)
+    except (OverflowError, ConvergenceError, ValueError) as exc:
+        assert_raises_the_same(exc, life._commutation, params, rate, xs.tolist()[exc.lane])
+    else:
+        # _commutation is what commutation_row, annuity and ageing_factor read
+        rows = np.array([life._commutation(params, rate, x) for x in xs.tolist()])
+        for j, name in enumerate(COLUMNS):
+            assert_bits_equal(table[name], rows[:, j], f"{name} at {params}, rate {rate}")
+    try:
+        mu = mortality_rates(params, xs)
+    except OverflowError as exc:
+        assert_raises_the_same(exc, mortality_rate, params, xs.tolist()[exc.lane])
+    else:
+        assert_bits_equal(mu, [mortality_rate(params, x) for x in xs.tolist()],
+                          f"mu at {params}")
 
 
 def test_benchmark_grid_every_column():
@@ -62,13 +80,15 @@ def _x_at(z, params):
 @st.composite
 def tables(draw):
     gam = draw(st.floats(0.02, 1.0))
-    regime = draw(st.sampled_from(("pole", "deep", "no_alpha", "no_beta", "plain")))
+    regime = draw(st.sampled_from(("pole", "deep", "steep", "no_alpha", "no_beta", "plain")))
     if regime == "pole":  # shape -(alpha + rate)/gamma within 1e-15..1e-8 of 0, -1, -2
         k = draw(st.sampled_from((0, 1, 2)))
         eps = 10.0 ** draw(st.floats(-15.0, -8.0))
         a = gam * (k + (eps if k == 0 else draw(st.sampled_from((-1, 1))) * eps))
     elif regime == "deep":  # up to 15 downward steps from the series
         a = gam * draw(st.floats(2.0, 15.0))
+    elif regime == "steep":  # 400 to 2,000 steps: over the budget of 500 in part
+        a = gam * draw(st.floats(400.0, 2000.0))
     else:
         a = 10.0 ** draw(st.floats(-4.0, -0.5))
     if regime == "no_alpha":  # pure Gompertz, discounted or not (shape -0.0)
@@ -82,8 +102,9 @@ def tables(draw):
     if beta == 0.0:
         xs = np.linspace(0.0, draw(st.floats(0.0, 500.0)), n)
         return params, rate, xs
-    # the grid's z runs from z_lo up to z_hi, across z = 1.1 or up to 1e250
-    span = draw(st.sampled_from(("across_split", "high", "low")))
+    # the grid's z runs from z_lo up to z_hi, across z = 1.1 or up to 1e250, or its
+    # ages run on past 709.78 / gamma, where e**(gamma x) overflows
+    span = draw(st.sampled_from(("across_split", "high", "low", "overflow")))
     if span == "across_split":
         z_lo, z_hi = 1.1 * 10.0 ** draw(st.floats(-3.0, -0.01)), 1.1 * 10.0 ** draw(
             st.floats(0.01, 2.0))
@@ -91,7 +112,8 @@ def tables(draw):
         z_lo, z_hi = 10.0 ** draw(st.floats(0.0, 100.0)), 10.0 ** draw(st.floats(200.0, 250.0))
     else:
         z_lo, z_hi = 10.0 ** draw(st.floats(-8.0, -3.0)), 10.0 ** draw(st.floats(-3.0, 0.0))
-    xs = np.linspace(_x_at(z_lo, params), _x_at(z_hi, params), n)
+    x_hi = draw(st.floats(700.0, 720.0)) / gam if span == "overflow" else _x_at(z_hi, params)
+    xs = np.linspace(_x_at(z_lo, params), x_hi, n)
     return params, rate, xs
 
 
@@ -103,11 +125,22 @@ def test_sweep_matches_scalar(case):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.floats(-15.0, 0.4999), st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30))
-def test_ratio_pair_twin_matches_scalar(eta, zs):
-    # every base shape of the series, not only the non-positive shapes of life
-    f, g = _ratio_pair_array(eta, np.array(zs))
-    want = np.array([_ratio_pair(eta, v) for v in zs])
+@given(st.one_of(st.floats(-15.0, 0.4999), st.floats(-2000.0, -400.0)),
+       st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30), st.sampled_from((500, 12)))
+@example(-0.3, [0.01, 500.0, 0.9, 1.05], 12)
+def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
+    # every base shape of the series, not only the non-positive shapes of life,
+    # and shapes whose arguments below the split are over 500 steps from it.  At
+    # 12 iterations the fraction stalls near the split, and so does the series
+    # (at lane 2 of the example, the second of its lanes below the split)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_MAX_ITER", max_iter)
+        try:
+            f, g = _ratio_pair_array(eta, np.array(zs))
+        except ConvergenceError as exc:
+            assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
+            return
+        want = np.array([_ratio_pair(eta, v) for v in zs])
     assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
     assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
 

@@ -16,6 +16,9 @@ from gmlife.mortality import GmParams, cdf, mortality_rate, survival
 SURVIVAL_65 = 0.8601161650140349
 # mu(80) at the same basis (50-digit formula)
 HAZARD_80 = 0.04073654808246019
+# F(x) = 1 - l(x) at small ages, where the subtraction cancels (50-digit formula)
+CDF_SMALL_AGES = {1e-8: 1.0120000000009582e-11, 1e-6: 1.012000000095812e-09,
+                  1e-3: 1.012000095832087e-06}
 
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 
@@ -121,6 +124,10 @@ class TestCdf:
     def test_exponential_case(self):
         p = GmParams(0.02, 0.0, 0.1)
         assert cdf(p, 30.0) == pytest.approx(1.0 - math.exp(-0.6), rel=1e-14)
+
+    def test_frozen_small_ages(self):
+        for x, want in CDF_SMALL_AGES.items():
+            assert cdf(BASIS, x) == pytest.approx(want, rel=1e-14, abs=0.0), x
 
     @given(params_st, st.floats(min_value=0.0, max_value=110.0))
     @settings(max_examples=200, deadline=None)

@@ -42,9 +42,15 @@ def assert_lanes_match_scalar(table_fn, scalar_fn, params, delta, xs, tols):
     for x, tol in zip(xs.tolist(), tols.tolist()):
         try:
             one = scalar_fn(params, delta, x, tol=tol)
-        except ConvergenceError:  # e.g. a tolerance below the sums' rounding noise
-            with pytest.raises(ConvergenceError):
+        except ConvergenceError:  # e.g. an integrand that does not decay
+            # a lane that raises must make the table raise, naming an age at
+            # which the scalar call raises the same type and text
+            with pytest.raises(ConvergenceError) as exc:
                 table_fn(params, delta, xs, tol=tols)
+            lane = exc.value.lane
+            with pytest.raises(ConvergenceError) as at_lane:
+                scalar_fn(params, delta, xs.tolist()[lane], tol=tols.tolist()[lane])
+            assert str(at_lane.value) == str(exc.value)
             return None
         lanes.append((one.value, one.abs_error_estimate, one.evaluations))
     table = table_fn(params, delta, xs, tol=tols)
@@ -141,9 +147,12 @@ def test_blocks_do_not_change_lanes(monkeypatch):
 
 @st.composite
 def grids(draw):
-    regime = draw(st.sampled_from(("plain", "no_beta", "no_alpha", "fast", "tiny_beta")))
+    regime = draw(st.sampled_from(("plain", "no_beta", "no_alpha", "fast", "tiny_beta",
+                                   "no_decay")))
     if regime == "tiny_beta":  # deaths near t = 691, where e**(gamma t) overflows
         params, delta = GmParams(0.0, 1e-300, 1.0), 0.0
+    elif regime == "no_decay":  # below age ~6.2e15 the integrand outlives t = 1e15
+        params, delta = GmParams(0.0, 1e-300, 1e-13), 0.0
     else:
         gam = draw(st.floats(0.02, 0.2))
         alpha = 0.0 if regime == "no_alpha" else 10.0 ** draw(st.floats(-4.0, -1.0))
@@ -152,7 +161,8 @@ def grids(draw):
         # rate 1e6: the integrand is spent long before t = 1, so the bracket halves
         delta = 1e6 if regime == "fast" else draw(st.sampled_from((0.0, 0.01, 0.05)))
     n = draw(st.integers(1, 12))
-    xs = np.array(draw(st.lists(st.floats(0.0, 300.0), min_size=n, max_size=n)))
+    x_lo, x_hi = (5e15, 7e15) if regime == "no_decay" else (0.0, 300.0)
+    xs = np.array(draw(st.lists(st.floats(x_lo, x_hi), min_size=n, max_size=n)))
     # relative tolerances 1e-11..1e-3, so lanes converge at different levels
     rel = 10.0 ** np.array(draw(st.lists(st.floats(-11.0, -3.0), min_size=n, max_size=n)))
     return params, delta, xs, rel
@@ -171,25 +181,41 @@ def test_sweep_lanes_match_scalar(case):
 
 
 def test_one_failing_lane_fails_the_table(monkeypatch):
-    # on this basis D(x) is 1 to 16 digits, and at age 10 the M sums keep a
-    # rounding noise far above an absolute tolerance of 1e-300: they never settle
-    # and spend the budget.  The blocks after the failing lane's block are not run
+    # on the worked basis a lane at 1e-9 of M takes 235 evaluations, and the lane
+    # at age 10 with an absolute tolerance of 1e-300 takes 475: over a budget of
+    # 300.  The blocks after the failing lane's block are not run
+    monkeypatch.setattr(oracle_mod, "_EVAL_BUDGET", 300)
     monkeypatch.setattr(oracle_mod, "_BLOCK_LANES", 3)
     real, blocks = oracle_mod._gauss_legendre_block, []
     monkeypatch.setattr(oracle_mod, "_gauss_legendre_block",
                         lambda f, tol: blocks.append(tol.size) or real(f, tol))
-    params = GmParams(0.0, 1e-300, 1.0)
     xs = np.array([2.0, 3.0, 10.0, 20.0, 30.0, 40.0, 50.0])
-    tols = np.array([1e-9, 1e-9, 1e-300, 1e-9, 1e-9, 1e-9, 1e-9])
+    tols = 1e-9 * np.array([commutation_m(BASIS, DELTA, x) for x in xs.tolist()])
+    tols[2] = 1e-300
     for x, tol in zip(xs.tolist(), tols.tolist()):
         if x != 10.0:
-            integrate_m(params, 0.0, x, tol=tol)
-    with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
-        integrate_m(params, 0.0, 10.0, tol=1e-300)
+            integrate_m(BASIS, DELTA, x, tol=tol)
+    with pytest.raises(ConvergenceError, match="budget of 300 exhausted"):
+        integrate_m(BASIS, DELTA, 10.0, tol=1e-300)
     blocks.clear()
-    with pytest.raises(ConvergenceError, match="budget of 1000000 exhausted"):
-        integrate_m_table(params, 0.0, xs, tol=tols)
+    with pytest.raises(ConvergenceError, match="budget of 300 exhausted") as exc:
+        integrate_m_table(BASIS, DELTA, xs, tol=tols)
     assert blocks == [3]
+    assert exc.value.lane == 2
+
+
+def test_tolerances_below_rounding_noise_are_floored():
+    # on this basis the sums keep a rounding noise far above an absolute
+    # tolerance of 1e-300, which they could never meet; floored at 4 ulps of
+    # the sum, every lane converges (without the floor, 236 of 264 ages spent
+    # the budget of 1,000,000 evaluations)
+    params = GmParams(0.0, 1e-300, 1.0)
+    xs = np.arange(0.0, 141.0, 20.0)
+    tols = np.full(xs.size, 1e-300)
+    for table_fn, scalar_fn in PAIRS:
+        table = assert_lanes_match_scalar(table_fn, scalar_fn, params, 0.0, xs, tols)
+        assert table is not None and table.evaluations.max() < 200_000
+    assert integrate_m_table(params, 0.0, xs, tol=tols).value == pytest.approx(1.0)
 
 
 def test_m_lanes_where_d_underflows_run_no_quadrature(monkeypatch):
@@ -212,13 +238,16 @@ def test_m_lanes_where_d_underflows_run_no_quadrature(monkeypatch):
 
 
 def test_one_lane_over_a_small_budget_fails_the_table(monkeypatch):
+    # one age a block, so the failing lane is lane 0 of the second block
     monkeypatch.setattr(oracle_mod, "_EVAL_BUDGET", 100)
+    monkeypatch.setattr(oracle_mod, "_BLOCK_LANES", 1)
     xs = np.array([10.0, 40.0, 70.0])
     loose = np.full(3, 1e-2)
     for table_fn, _ in PAIRS:
         table_fn(BASIS, DELTA, xs, tol=loose)
-        with pytest.raises(ConvergenceError, match="budget of 100 exhausted"):
+        with pytest.raises(ConvergenceError, match="budget of 100 exhausted") as exc:
             table_fn(BASIS, DELTA, xs, tol=np.array([1e-2, 1e-12, 1e-2]))
+        assert exc.value.lane == 1
 
 
 def test_table_rejects_what_the_scalar_call_rejects():
@@ -232,6 +261,17 @@ def test_table_rejects_what_the_scalar_call_rejects():
             table_fn(GmParams(0.0, 0.0, 0.1), 0.0, [0.0])
     with pytest.raises(ValueError):
         mc_remaining_life_table(BASIS, [0.0, -1.0], 1000, np.random.default_rng(0))
+    # an aged basis that is not representable fails at its lane, with the scalar
+    # call's error: e**(gamma x) overflows at age 8000, and beta e**(gamma x) at
+    # 7000 when beta is 1e10
+    xs = [40.0, 7000.0, 8000.0]
+    for params, lane, text in ((BASIS, 2, "math range error"),
+                               (GmParams(0.001, 1e10, 0.101314), 1, "beta must be finite")):
+        with pytest.raises((OverflowError, ValueError), match=text) as exc:
+            mc_remaining_life_table(params, xs, 1000, np.random.default_rng(0))
+        assert exc.value.lane == lane
+        with pytest.raises(type(exc.value), match=text):
+            mc_remaining_life(params, xs[lane], 1000, np.random.default_rng(0))
 
 
 def reference_mc(p, x, n, rng):
