@@ -209,11 +209,20 @@ def _verify_failure(cols: dict[str, np.ndarray], tol: float) -> str | None:
             f"{column} = {diff:.3g} at age {x:g}")
 
 
-def _rows(cols: dict[str, np.ndarray]):
-    # the table's rows as tuples of floats, a block of rows at a time
+def _rows(cols: dict[str, np.ndarray], cells=np.ndarray.tolist):
+    # the table's rows as tuples of cells(column) items, a block of rows at a time
     n = cols["x"].size
     for start in range(0, n, _EMIT_BLOCK):
-        yield list(zip(*(c[start:start + _EMIT_BLOCK].tolist() for c in cols.values())))
+        yield list(zip(*(cells(c[start:start + _EMIT_BLOCK]) for c in cols.values())))
+
+
+def _json_cells(c: np.ndarray) -> list:
+    # the floats of c, with each non-finite one as the token json writes for it
+    values = c.tolist()
+    for i in np.flatnonzero(~np.isfinite(c)).tolist():
+        values[i] = "NaN" if math.isnan(values[i]) else (
+            "Infinity" if values[i] > 0.0 else "-Infinity")
+    return values
 
 
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
@@ -224,12 +233,14 @@ def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
         for rows in _rows(cols):
             out.write("".join([line % row for row in rows]))
     else:
-        # json.dumps(all rows, indent=2) is "[\n" + items joined by ",\n" + "\n]";
-        # each block contributes its items
+        # json.dumps(rows as dicts, indent=2) is "[\n" + items joined by ",\n" + "\n]",
+        # and each item is one template filled with a row: %s of a float is its
+        # repr, as json writes it
+        item = "  {\n" + ",\n".join(
+            "    %s: %%s" % json.dumps(k).replace("%", "%%") for k in fields) + "\n  }"
         out.write("[\n")
-        for i, rows in enumerate(_rows(cols)):
-            block = json.dumps([dict(zip(fields, row)) for row in rows], indent=2)
-            out.write((",\n" if i else "") + block[2:-2])
+        for i, rows in enumerate(_rows(cols, _json_cells)):
+            out.write((",\n" if i else "") + ",\n".join([item % row for row in rows]))
         out.write("\n]\n")
 
 

@@ -131,18 +131,19 @@ def ln_gamma_fn(eta: float) -> float:
 
 
 def _lower_reg_series(eta: float, z: float) -> float:
-    # Regularized lower incomplete gamma by power series; needs z < eta + 1.
+    # Regularized lower incomplete gamma by power series; needs z < eta + 1.  The
+    # series is scaled by eta, so it starts at 1 and Gamma(eta + 1) divides it: no
+    # 1/eta to overflow and no ln Gamma(eta) ~ -ln eta to round in the exponent
     if z == 0.0:
         return 0.0
-    term = 1.0 / eta
-    total = term
+    term = total = 1.0
     ap = eta
     for _ in range(_MAX_ITER):
         ap += 1.0
         term *= z / ap
         total += term
         if abs(term) < abs(total) * _REL_EPS:
-            return total * math.exp(-z + eta * math.log(z) - ln_gamma_fn(eta))
+            return min(1.0, total * math.exp(-z + eta * math.log(z) - ln_gamma_fn(eta + 1.0)))
     raise ConvergenceError(f"lower incomplete gamma series stalled (eta={eta}, z={z})")
 
 

@@ -183,6 +183,23 @@ class TestJsonTable:
         p = GmParams(0.001, 0.000012, 0.101314)
         assert data[0]["a_bar"] == pytest.approx(annuity(p, 0.026559, 30.0), rel=1e-14)
 
+    def test_emitter_writes_what_json_dumps_writes(self):
+        # two emit blocks of rows, with every kind of float json spells out on
+        # its own, and keys that need escaping in json and in a % template
+        from gmlife.cli import _emit
+
+        n = 1_500
+        rng = np.random.default_rng(5)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300]
+        cols = {"x": np.arange(n) * 0.01, "a_bar": rng.standard_normal(n),
+                '50% "q"\\': rng.random(n) * 1e-200}
+        for c in cols.values():
+            c[rng.choice(n, size=4 * len(specials), replace=False)] = specials * 4
+        out = io.StringIO()
+        _emit(cols, "json", out)
+        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+        assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+
 
 class TestDoubleRateAndDiagnostics:
     def test_double_rate_columns(self, capsys):

@@ -374,4 +374,4 @@ class TestShapeRegimes:
         # next to a pole, vanishing alpha + delta, ages just below z = 1 and a
         # cancelling M (see MPMATH_VALUES)
         for fn, args, expected in MPMATH_VALUES:
-            assert fn(*args) == pytest.approx(expected, rel=1e-13), (fn.__name__, args)
+            assert fn(*args) == pytest.approx(expected, rel=1e-13, abs=0), (fn.__name__, args)

@@ -291,15 +291,18 @@ def reference_mc(p, x, n, rng):
                          ids=["makeham", "no_alpha", "no_beta"])
 def test_mc_table_lanes_are_scalar_calls_from_one_draw(params):
     # every age gets the draw of one scalar call from the generator's state at
-    # entry, and the table advances the generator as that one call does
+    # entry, and the table advances the generator as that one call does.  The
+    # sampler works in units of 1/gamma and sums squares in another order than
+    # the textbook reference, so it matches that one to a few ulps, not bit for bit
     xs = np.array([0.0, 40.0, 40.0, 65.5, 110.0])
     rng = np.random.default_rng(77)
     table = mc_remaining_life_table(params, xs, 5_000, rng)
     for i, x in enumerate(xs.tolist()):
         est = mc_remaining_life(params, x, 5_000, np.random.default_rng(77))
         lane = (table.mean[i], table.std_error[i])
-        assert lane == (est.mean, est.std_error) == reference_mc(
-            params, x, 5_000, np.random.default_rng(77)), x
+        assert lane == (est.mean, est.std_error), x
+        assert lane == pytest.approx(reference_mc(params, x, 5_000, np.random.default_rng(77)),
+                                     rel=1e-14, abs=0), x
     assert table.n_samples == 5_000
     one_call = np.random.default_rng(77)
     mc_remaining_life(params, 0.0, 5_000, one_call)

@@ -46,6 +46,16 @@ MPMATH_LN_GAMMA_FN = [(1e-310, 713.8013788281541651), (5e-324, 744.4400719213812
 SMALL_Z = 0.000012 / 0.101314
 GAMMA_CDF_SMALL_Z = 0.0015152978322637408
 
+# (eta, z, G(z; eta, 1)) by 50-digit mpmath.gammainc(regularized=True) at tiny
+# shapes, where G(0.5) is 1 - eta E1(0.5) and 1/eta overflows below ~5.6e-309
+MPMATH_GAMMA_CDF_TINY_SHAPES = [
+    (5e-324, 0.5, 1.0),
+    (1e-310, 0.5, 1.0),
+    (1e-300, 0.5, 1.0),
+    (1e-20, 0.5, 0.99999999999999999999440226405223839218952020662555),
+    (1e-3, 1e-300, 0.50147619801088660305807154192553285780409670164937),
+]
+
 # Gamma(-0.5, 1): 50-digit quadrature of int_1^inf y^-1.5 e^-y dy
 UPPER_NEG_HALF_AT_1 = 0.1781477117815607
 
@@ -197,6 +207,14 @@ class TestGammaCdf:
 
     def test_frozen_small_argument(self):
         assert gamma_cdf(SMALL_Z, 0.727984) == pytest.approx(GAMMA_CDF_SMALL_Z, rel=1e-12)
+
+    def test_frozen_tiny_shapes(self):
+        # the series starts at 1, so no 1/eta overflows and no CDF exceeds 1;
+        # within two float64 eps
+        for eta, z, want in MPMATH_GAMMA_CDF_TINY_SHAPES:
+            got = gamma_cdf(z, eta)
+            assert got <= 1.0
+            assert got == pytest.approx(want, rel=4.5e-16, abs=0), eta
 
     @given(
         st.floats(min_value=1e-3, max_value=170.0),
