@@ -34,6 +34,7 @@ which the scalar call raises the same, and the ages before it run again.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,7 @@ class _OneLineParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache  # built once per process: each parse_args call returns a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     p = _OneLineParser(prog="gmlife", description=__doc__.splitlines()[0])
     p.add_argument("--alpha", type=float, required=True, help="flat hazard per year")

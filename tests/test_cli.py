@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import gmlife.cli
 import gmlife.life
 import gmlife.oracle
 from gmlife import (
@@ -159,6 +160,21 @@ class TestCsvTable:
         _, out1, _ = run_cli(capsys, "--x-min", "0", "--x-max", "20", "--step", "5")
         _, out2, _ = run_cli(capsys, "--x-min", "0", "--x-max", "20", "--step", "5")
         assert out1 == out2
+
+    def test_calls_in_one_process_share_no_parsed_state(self, capsys):
+        # main builds its parser once per process: a call after another, with
+        # other flags, writes what the same call writes with a parser of its own
+        grid = ["--x-min", "80", "--x-max", "100", "--step", "5"]
+        pairs = ((grid + ["--double-rate", "--diagnostics"], grid),
+                 (grid + ["--verify", "--seed", "0"], grid + ["--verify", "--seed", "1"]))
+        for pair in pairs:
+            lone = []
+            for argv in pair:
+                gmlife.cli._build_parser.cache_clear()
+                lone.append(run_cli(capsys, *argv))
+            gmlife.cli._build_parser.cache_clear()
+            assert [run_cli(capsys, *argv) for argv in pair] == lone
+            assert lone[0] != lone[1]
 
 
 class TestJsonTable:

@@ -6,14 +6,16 @@ bit for bit equal to it, lane by lane.  These tests are what keeps the two
 from drifting apart: every column on the benchmark grid, then a
 deterministic sweep over the hard regions (near-pole shapes, many downward
 steps, no senescence or no flat hazard, z up to 1e250, grids across the
-series/continued-fraction split at z = 1.1).
+series/continued-fraction split at z = 1.1).  The twins finish their last
+few lanes in the scalar loops, so the sweeps check every example at three
+handoff widths: the pure numpy loop, the default, and the pure scalar loop.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from gmlife import life, special
@@ -24,6 +26,9 @@ from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 DELTA = 0.026559
 COLUMNS = ("D", "N", "M", "a_bar", "ageing_factor")
+# the twins hand off to the scalar loop at no lanes, at the default width, and at
+# once; a sweep runs each example at every width, since drawing it costs more
+WIDTHS = (0, special._HANDOFF_LANES, 10**6)
 
 
 def assert_bits_equal(batch, scalar, what):
@@ -63,13 +68,15 @@ def assert_table_matches_scalar(params, rate, xs):
 
 
 def test_benchmark_grid_every_column():
-    xs = 0.0 + np.arange(11_001) * 0.01
-    for rate in (0.0, DELTA, 2.0 * DELTA):
-        assert_table_matches_scalar(BASIS, rate, xs)
-    undiscounted = life_table(BASIS, 0.0, xs)
-    assert_bits_equal(undiscounted["D"], [survival(BASIS, x) for x in xs.tolist()], "l")
-    assert_bits_equal(undiscounted["a_bar"],
-                      [remaining_life(BASIS, x) for x in xs.tolist()], "e_x")
+    # the table workload's 11,001 ages, and the verify workload's 110 (0.13 to
+    # 109.13), whose 19 lanes above the split go to the scalar loop at once
+    for xs in (0.0 + np.arange(11_001) * 0.01, 0.13 + np.arange(110) * 1.0):
+        for rate in (0.0, DELTA, 2.0 * DELTA):
+            assert_table_matches_scalar(BASIS, rate, xs)
+        undiscounted = life_table(BASIS, 0.0, xs)
+        assert_bits_equal(undiscounted["D"], [survival(BASIS, x) for x in xs.tolist()], "l")
+        assert_bits_equal(undiscounted["a_bar"],
+                          [remaining_life(BASIS, x) for x in xs.tolist()], "e_x")
 
 
 def _x_at(z, params):
@@ -117,32 +124,69 @@ def tables(draw):
     return params, rate, xs
 
 
+# 200 ages from z = 1.1 to 50: the fraction hands off at iteration 46, at 32 lanes
+MID_LOOP = (BASIS, DELTA, np.linspace(_x_at(1.1, BASIS), _x_at(50.0, BASIS), 200))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tables())
+@example(MID_LOOP)
 def test_sweep_matches_scalar(case):
     params, rate, xs = case
-    assert_table_matches_scalar(params, rate, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        for width in WIDTHS:
+            note(f"handoff width {width}")
+            mp.setattr(special, "_HANDOFF_LANES", width)
+            assert_table_matches_scalar(params, rate, xs)
+
+
+def test_stall_after_the_handoff_names_its_age(monkeypatch):
+    # MID_LOOP's ages from z = 50 down to 1.1, with 60 iterations of the fraction:
+    # the default width hands off at iteration 46 and the last 15 lanes stall in
+    # the scalar loop.  The first of them in lane order is named, as at width 0
+    params, rate, xs = MID_LOOP
+    xs = xs[::-1]
+    monkeypatch.setattr(special, "_MAX_ITER", 60)
+    for width in WIDTHS:
+        monkeypatch.setattr(special, "_HANDOFF_LANES", width)
+        with pytest.raises(ConvergenceError) as exc:
+            life_table(params, rate, xs)
+        assert exc.value.lane == 185, width
+        assert_raises_the_same(exc.value, life._commutation, params, rate, xs[185])
+    life._commutation(params, rate, xs[184])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(st.floats(-15.0, 0.4999), st.floats(-2000.0, -400.0)),
        st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30), st.sampled_from((500, 12)))
 @example(-0.3, [0.01, 500.0, 0.9, 1.05], 12)
+@example(-0.3, np.geomspace(1e-3, 50.0, 200).tolist(), 500)
+@example(-0.3, np.geomspace(50.0, 1.1, 200).tolist(), 60)
+@example(-0.3, np.geomspace(1.09, 1e-3, 200).tolist(), 16)
 def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
     # every base shape of the series, not only the non-positive shapes of life,
     # and shapes whose arguments below the split are over 500 steps from it.  At
     # 12 iterations the fraction stalls near the split, and so does the series
-    # (at lane 2 of the example, the second of its lanes below the split)
+    # (at lane 2 of the example, the second of its lanes below the split).  Over
+    # 200 lanes, 1e-3 to 50, the series and the fraction both hand off mid-loop;
+    # from 50 down to 1.1 at 60 iterations, and from 1.09 down to 1e-3 at 16
+    # terms, lanes stall after the handoff.  Every width names the same lane
+    named = set()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_MAX_ITER", max_iter)
-        try:
-            f, g = _ratio_pair_array(eta, np.array(zs))
-        except ConvergenceError as exc:
-            assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
-            return
-        want = np.array([_ratio_pair(eta, v) for v in zs])
-    assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
-    assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
+        for width in WIDTHS:
+            note(f"handoff width {width}")
+            mp.setattr(special, "_HANDOFF_LANES", width)
+            try:
+                f, g = _ratio_pair_array(eta, np.array(zs))
+            except ConvergenceError as exc:
+                assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
+                named.add(exc.lane)
+                continue
+            want = np.array([_ratio_pair(eta, v) for v in zs])
+            assert_bits_equal(f, want[:, 0], f"F at shape {eta}, width {width}")
+            assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}, width {width}")
+    assert len(named) <= 1, named
 
 
 def test_subnormal_shapes_match_scalar():
