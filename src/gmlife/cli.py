@@ -16,12 +16,14 @@ reports a seeded Monte-Carlo estimate of e_x as a deviation in standard
 errors (informational; seed set with ``--seed``).
 
 A table is computed as columns, one evaluation per rate per table
-(:func:`gmlife.life.life_table` over the whole age grid), and written with
-one format call per row.  ``--verify`` adds one lane-batched quadrature per
-integral over the grid and one Monte-Carlo table, whose ages share one
-seeded draw: a row's ``e_x_mc_dev`` depends only on its age and ``--seed``,
-not on where the row sits in the grid.  A relative difference is 0 where
-both values are 0 and inf where only the oracle's is.
+(:func:`gmlife.life.life_table` over the whole age grid), and written a
+block of rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
+numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row.
+``--verify`` adds one lane-batched quadrature per integral over the grid
+and one Monte-Carlo table, whose ages share one seeded draw: a row's
+``e_x_mc_dev`` depends only on its age and ``--seed``, not on where the row
+sits in the grid.  A relative difference is 0 where both values are 0 and
+inf where only the oracle's is; one that is NaN fails verification.
 
 Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
 at some age, 4 verification failure.  Exit 3 names the first age at which
@@ -49,7 +51,7 @@ __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
 _MAX_ROWS = 1_000_000  # the table is held as columns, ~100 B a row, until emitted
-_EMIT_BLOCK = 1024  # rows formatted per write: only one block's Python floats are alive
+_EMIT_BLOCK = 1024  # rows formatted per write: only one block's text is alive
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 _VERIFY_COLUMNS = _DIFF_COLUMNS + ("e_x_mc_dev",)
 
@@ -200,22 +202,19 @@ def _compute_columns(params: GmParams, args, xs: np.ndarray) -> dict[str, np.nda
 
 
 def _verify_failure(cols: dict[str, np.ndarray], tol: float) -> str | None:
-    # None when every verified difference is within tol
-    over = np.column_stack([cols[c] > tol for c in _DIFF_COLUMNS])
+    # None when every verified difference is <= tol; a NaN difference fails, and
+    # is worse than any number
+    over = np.column_stack([~(cols[c] <= tol) for c in _DIFF_COLUMNS])
     failed = np.flatnonzero(over.any(axis=1))
     if not failed.size:
         return None
-    diff, column, x = max((float(cols[c][i]), c, float(cols["x"][i])) for i in failed
-                          for c in _DIFF_COLUMNS if cols[c][i] > tol)
+    cells = [(float(cols[c][i]), c, float(cols["x"][i])) for i in failed
+             for c in _DIFF_COLUMNS if not cols[c][i] <= tol]
+    diff, column, x = max(cells, key=lambda cell: (math.isnan(cell[0]),
+                                                   0.0 if math.isnan(cell[0]) else cell[0],
+                                                   *cell[1:]))
     return (f"{failed.size} of {cols['x'].size} rows exceed {tol}; worst is "
             f"{column} = {diff:.3g} at age {x:g}")
-
-
-def _rows(cols: dict[str, np.ndarray], cells=np.ndarray.tolist):
-    # the table's rows as tuples of cells(column) items, a block of rows at a time
-    n = cols["x"].size
-    for start in range(0, n, _EMIT_BLOCK):
-        yield list(zip(*(cells(c[start:start + _EMIT_BLOCK]) for c in cols.values())))
 
 
 def _json_cells(c: np.ndarray) -> list:
@@ -230,10 +229,14 @@ def _json_cells(c: np.ndarray) -> list:
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
     fields = list(cols)
     if fmt == "csv":
+        from .formatting import format_cells  # JSON-only runs never compile it
+
         out.write(",".join(fields) + "\n")
-        line = ",".join(["%.15g"] * len(fields)) + "\n"
-        for rows in _rows(cols):
-            out.write("".join([line % row for row in rows]))
+        seps = np.full(len(fields), ord(","), np.uint8)
+        seps[-1] = ord("\n")
+        for start in range(0, cols["x"].size, _EMIT_BLOCK):
+            block = np.column_stack([c[start:start + _EMIT_BLOCK] for c in cols.values()])
+            out.write(format_cells(block.ravel(), np.tile(seps, len(block))).decode())
     else:
         # json.dumps(rows as dicts, indent=2) is "[\n" + items joined by ",\n" + "\n]",
         # and each item is one template filled with a row: %s of a float is its
@@ -241,8 +244,9 @@ def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
         item = "  {\n" + ",\n".join(
             "    %s: %%s" % json.dumps(k).replace("%", "%%") for k in fields) + "\n  }"
         out.write("[\n")
-        for i, rows in enumerate(_rows(cols, _json_cells)):
-            out.write((",\n" if i else "") + ",\n".join([item % row for row in rows]))
+        for start in range(0, cols["x"].size, _EMIT_BLOCK):
+            rows = zip(*(_json_cells(c[start:start + _EMIT_BLOCK]) for c in cols.values()))
+            out.write((",\n" if start else "") + ",\n".join([item % row for row in rows]))
         out.write("\n]\n")
 
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmlife.cli
 import gmlife.life
@@ -24,6 +26,7 @@ from gmlife import (
     survival,
 )
 from gmlife.cli import main
+from gmlife.formatting import format_cells
 from gmlife.mortality import GmParams
 from gmlife.special import ConvergenceError
 
@@ -107,6 +110,54 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def row_writer(cols):
+    # the CSV writer the block formatter replaced: one % template per row
+    line = ",".join(["%.15g"] * len(cols)) + "\n"
+    rows = zip(*(c.tolist() for c in cols.values()))
+    return ",".join(cols) + "\n" + "".join(line % row for row in rows)
+
+
+def formatted(values):
+    # the cell formatter over values, each cell followed by "," or "\n" in turn
+    v = np.asarray(values, dtype=np.float64)
+    seps = np.where(np.arange(v.size) % 2, ord("\n"), ord(",")).astype(np.uint8)
+    return format_cells(v, seps).decode()
+
+
+def percent_cells(values):
+    return "".join("%.15g" % x + ",\n"[i % 2] for i, x in enumerate(values))
+
+
+# cells the numpy digits cannot decide and "%.15g" must: ties at the 15th digit,
+# decade carries, a log10 misestimate, and the edges of the fixed %g form and of
+# the formatted range
+ADVERSARIAL_CELLS = [
+    (1 + 2**-15, "1.00003051757812"),  # a tie, rounded down to an even digit
+    (1 + 3 * 2**-15, "1.00009155273438"),  # a tie, rounded up to an even digit
+    (999999999999999.5, "1e+15"),
+    (9.9999999999999995e-05, "0.0001"),
+    (999999999999999.4, "999999999999999"),
+    (1e-05, "1e-05"),
+    (9.99999999999999e-05, "9.99999999999999e-05"),
+    (0.0001, "0.0001"),
+    (0.000123456789012345, "0.000123456789012345"),
+    (99999999999999.9, "99999999999999.9"),
+    (123456789012345.6, "123456789012346"),
+    (1e15, "1e+15"),
+    (1.5e15, "1.5e+15"),
+    (1e100, "1e+100"),
+    (-1.23e-100, "-1.23e-100"),
+    (1e-199, "1e-199"),
+    (1e199, "1e+199"),
+    (9.99e198, "9.99e+198"),
+    (1.7976931348623157e308, "1.79769313486232e+308"),
+    (2.2250738585072014e-308, "2.2250738585072e-308"),
+    (5e-324, "4.94065645841247e-324"),
+    (-0.0, "-0"),
+    (0.0, "0"),
+]
+
+
 class TestCsvTable:
     def test_worked_basis_full_grid(self, capsys):
         code, out, err = run_cli(
@@ -175,6 +226,50 @@ class TestCsvTable:
             gmlife.cli._build_parser.cache_clear()
             assert [run_cli(capsys, *argv) for argv in pair] == lone
             assert lone[0] != lone[1]
+
+
+class TestCsvEmitter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(0, 2**64 - 1),
+                              st.floats().map(lambda x: int(np.float64(x).view(np.uint64)))),
+                    min_size=1, max_size=40))
+    def test_cell_formatter_is_percent_format(self, bits):
+        # raw 64-bit patterns: NaN payloads, subnormals and both zeros among them
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == percent_cells(values.tolist())
+
+    def test_cell_formatter_on_adversarial_cells(self):
+        values = [v for v, _ in ADVERSARIAL_CELLS]
+        assert ["%.15g" % v for v in values] == [text for _, text in ADVERSARIAL_CELLS]
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values += [-v for v in values] + np.concatenate(
+            [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]).tolist()
+        assert formatted(values) == percent_cells(values)
+
+    def test_table_is_what_the_row_writer_writes(self):
+        # three blocks of rows, the last one partial, with every kind of cell the
+        # numpy digits leave to "%.15g"
+        n = 2 * gmlife.cli._EMIT_BLOCK + 37
+        rng = np.random.default_rng(11)
+        specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                    -2.5e-310, 1 + 2**-15, 999999999999999.5]
+        cols = {"x": np.arange(n) * 0.01, "normal": rng.standard_normal(n),
+                "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 308, n),
+                "whole": np.floor(rng.uniform(0, 1e6, n)), "const": np.full(n, -0.25)}
+        for c in ("normal", "wide", "whole"):
+            cols[c][rng.choice(n, size=3 * len(specials), replace=False)] = specials * 3
+        out = io.StringIO()
+        gmlife.cli._emit(cols, "csv", out)
+        assert out.getvalue() == row_writer(cols)
+
+    def test_verify_table_is_what_the_row_writer_writes(self, capsys):
+        grid = ["--x-min", "0", "--x-max", "100", "--step", "10", "--verify"]
+        _, text, _ = run_cli(capsys, *grid, "--format", "json")
+        rows = json.loads(text)
+        cols = {k: np.array([row[k] for row in rows]) for k in rows[0]}
+        code, out, err = run_cli(capsys, *grid, "--format", "csv")
+        assert code == 0, err
+        assert out == row_writer(cols)
 
 
 class TestJsonTable:
@@ -386,6 +481,25 @@ class TestVerifyMode:
         assert json.loads(out)[3]["m_rel_diff"] == math.inf
         assert err == ("gmlife: verification failed: 1 of 11 rows exceed 1e-07; "
                        "worst is m_rel_diff = inf at age 30\n")
+
+    def test_verify_fails_on_a_nan_difference_and_names_it(self, capsys, monkeypatch):
+        # a NaN difference is not within any tolerance, and it is the worst cell
+        # even beside an inf one
+        real = gmlife.oracle.integrate_m_table
+
+        def nan_at_age_1(params, delta, xs, tol):
+            q = real(params, delta, xs, tol)
+            value = np.where(xs == 1.0, math.nan, np.where(xs == 2.0, 0.0, q.value))
+            return gmlife.oracle.QuadratureResult(value, q.abs_error_estimate, q.evaluations)
+
+        monkeypatch.setattr(gmlife.oracle, "integrate_m_table", nan_at_age_1)
+        code, out, err = run_cli(capsys, "--x-min", "0", "--x-max", "3", "--step", "1",
+                                 "--verify")
+        header, rows = parse_csv(out)
+        assert [row[header.index("m_rel_diff")] for row in rows][1:3] == ["nan", "inf"]
+        assert code == 4
+        assert err == ("gmlife: verification failed: 2 of 4 rows exceed 1e-07; "
+                       "worst is m_rel_diff = nan at age 1\n")
 
     def test_verify_seed_changes_only_mc_column(self, capsys):
         _, out1, _ = run_cli(capsys, "--x-min", "0", "--x-max", "0", "--step", "1",
