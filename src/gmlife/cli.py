@@ -15,9 +15,10 @@ quadrature oracle, appending relative-difference columns and failing
 reports a seeded Monte-Carlo estimate of e_x as a deviation in standard
 errors (informational; seed set with ``--seed``).
 
-A table is computed as columns, one evaluation per rate per table
-(:func:`gmlife.life.life_table` over the whole age grid), and written a
-block of rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
+A table is computed as columns, one evaluation per rate per table over
+the whole age grid, every rate from one set of rate-free per-age terms (as
+:func:`gmlife.life.life_table` does for one rate), and written a block of
+rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
 numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row.
 ``--verify`` adds one lane-batched quadrature per integral over the grid
 and one Monte-Carlo table, whose ages share one seeded draw: a row's
@@ -44,13 +45,17 @@ import sys
 import numpy as np
 
 from . import life, oracle
+from .life import _life_tables  # by name: perfbench/tracing.py swaps cli.life for __all__
 from .mortality import GmParams, mortality_rate, mortality_rates, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
-_MAX_ROWS = 1_000_000  # the table is held as columns, ~100 B a row, until emitted
+# At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
+# emitted, and computing them peaks at ~295 MB RSS (~270 MB plain), the age grid
+# shared by the rates (~38 B a row, freed once the columns are done) included
+_MAX_ROWS = 1_000_000
 _EMIT_BLOCK = 1024  # rows formatted per write: only one block's text is alive
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 _VERIFY_COLUMNS = _DIFF_COLUMNS + ("e_x_mc_dev",)
@@ -152,16 +157,15 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
-    # one life_table per rate, in the scalar API's row order (mu fails only where
-    # D does): at rate 0 its D is l and its a_bar is e_x
-    single = life.life_table(params, args.delta, xs)
-    undiscounted = life.life_table(params, 0.0, xs)
+    # one table per rate from one age grid, in the scalar API's row order (mu fails
+    # only where D does): at rate 0 its D is l and its a_bar is e_x
+    rates = (args.delta, 0.0) + ((2.0 * args.delta,) if args.double_rate else ())
+    single, undiscounted, *double = _life_tables(params, rates, xs)
     cols = {"x": xs, "l": undiscounted["D"], "mu": mortality_rates(params, xs)}
     cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
     cols["e_x"] = undiscounted["a_bar"]
-    if args.double_rate:
-        double = life.life_table(params, 2.0 * args.delta, xs)
-        cols.update((k + "2", double[k]) for k in ("D", "N", "M"))
+    for table in double:
+        cols.update((k + "2", table[k]) for k in ("D", "N", "M"))
     if args.diagnostics:
         cols["ageing_factor"] = single["ageing_factor"]
         cols["shape"] = np.full(xs.size, life.positive_shape_check(params, args.delta))

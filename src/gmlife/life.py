@@ -35,19 +35,29 @@ product gives D, N, M, a_bar and the ageing factor.  At one rate the shape
 every age of a table in one numpy pass of the batch twins in
 :mod:`gmlife.special`, bit for bit the scalar values.  Arguments are
 validated once, at the public API.
+
+The rates of one table share its grid of ages, computed once: e**(gamma x),
+which gives z; the senescent part (beta/gamma) expm1(gamma x) of every D
+exponent; the split of the ages between the continued fraction (z >= 1.1)
+and the series, the same at every shape -r <= 0; and ln z and e**z at the
+series' ages.  Per rate remain the discount term -(alpha + rate) x and the
+exp of D's exponent, and the gamma product at the rate's shape.
+:func:`life_table` is the one-rate case of the CLI's several-rate entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .mortality import (GmParams, _check_age, _check_ages, _discounted_survival,
-                        _discounted_survival_array)
+                        _discounted_survival_array, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import _at_lane, _per_element, _ratio_pair_array, exp_scaled_upper_inc_gamma
+from .special import (_at_lane, _per_element, _ratio_pair_array, _split, _Split,
+                      exp_scaled_upper_inc_gamma)
 
 __all__ = [
     "CommutationRow",
@@ -74,6 +84,28 @@ class CommutationRow:
     m_val: float
 
 
+class _Grid(NamedTuple):
+    # the rate-free terms of a table's ages xs, computed once for all its rates:
+    # with beta > 0, the senescent part of every D exponent, the gamma argument z
+    # and its split into continued-fraction and series lanes, with ln z and e**z
+    # on the series' lanes (special._split)
+    xs: np.ndarray
+    senescent: np.ndarray | None = None
+    z: np.ndarray | None = None
+    split: _Split | None = None
+
+
+def _grid(params: GmParams, xs: np.ndarray) -> _Grid:
+    senescent = _senescent_exponent_array(params, xs)
+    if senescent is None:
+        return _Grid(xs)
+    # exp overflows at exactly the ages where expm1 did, first: the grid raises
+    # what D, the first value at every rate, raises
+    gam = params.gamma_exp
+    z = params.beta * _per_element(math.exp, gam * xs) / gam
+    return _Grid(xs, senescent, z, _split(z))
+
+
 def _check_args(delta: float, x: float = 0.0) -> None:
     if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
@@ -95,15 +127,14 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     return f / gam, 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
 
 
-def _evaluate_table(params: GmParams, a: float, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    # _evaluate at every age of xs, in the same operation order
+def _evaluate_table(params: GmParams, a: float, grid: _Grid) -> tuple[np.ndarray, ...]:
+    # _evaluate at every age of the grid, in the same operation order
     if params.beta == 0.0:
         if a == 0.0:
             raise _at_lane(ValueError("alpha, beta and delta are all zero: value is infinite"), 0)
-        return np.full(xs.shape, 1.0 / a), np.zeros(xs.shape)
+        return np.full(grid.xs.shape, 1.0 / a), np.zeros(grid.xs.shape)
     gam = params.gamma_exp
-    z = params.beta * _per_element(math.exp, gam * xs) / gam
-    f, xi = _ratio_pair_array(-(a / gam), z)
+    f, xi = _ratio_pair_array(-(a / gam), grid.z, grid.split)
     return f / gam, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
 
 
@@ -152,9 +183,9 @@ def _commutation(params: GmParams, rate: float, x, batch: bool = False) -> tuple
     # D, N = D * a_bar, M, a_bar and xi at one rate; unvalidated.  M = D - rate * N
     # is formed as D * (xi + alpha * a_bar), a sum of non-negative terms, since
     # 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is D itself.
-    # With batch=True (life_table) x is an array of ages and the batch twins run.
+    # With batch=True (_life_tables) x is a _Grid of ages and the batch twins run.
     if batch:
-        d = _discounted_survival_array(params, rate, x)
+        d = _discounted_survival_array(params, rate, x.xs, x.senescent)
         a_bar, xi = _evaluate_table(params, params.alpha + rate, x)
     else:
         d = _discounted_survival(params, rate, x)
@@ -201,11 +232,21 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     exception's ``lane`` attribute is the index in xs of an age at which
     :func:`commutation_row` raises the same type and text.
     """
-    _check_args(delta)
+    return _life_tables(params, (delta,), xs)[0]
+
+
+def _life_tables(params: GmParams, rates: tuple[float, ...],
+                 xs) -> list[dict[str, np.ndarray]]:
+    # [life_table(params, rate, xs) for rate in rates], with the rate-free terms
+    # computed once.  Rates and ages are checked first; then, where some rate's
+    # table raises, this raises what the first such rate raises, with its lane
+    for rate in rates:
+        _check_args(rate)
     xs = _check_ages(xs)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        cols = _commutation(params, delta, xs, batch=True)
-    return dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), cols))
+        grid = _grid(params, xs)
+        return [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"),
+                         _commutation(params, rate, grid, batch=True))) for rate in rates]
 
 
 def positive_shape_check(params: GmParams, delta: float) -> float:

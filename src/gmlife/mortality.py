@@ -76,12 +76,21 @@ def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
     return math.exp(_ln_discounted_survival(params, rate, x))
 
 
-def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray) -> np.ndarray:
-    # _discounted_survival at every age of xs, in the same operation order
+def _senescent_exponent_array(params: GmParams, xs: np.ndarray) -> np.ndarray | None:
+    # (beta/gamma_exp) expm1(gamma_exp * x) at every age of xs, the rate-free part of
+    # _ln_discounted_survival; None where beta = 0 and there is none
+    if params.beta == 0.0:
+        return None
+    return (params.beta / params.gamma_exp) * _per_element(math.expm1, params.gamma_exp * xs)
+
+
+def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray,
+                               senescent: np.ndarray | None) -> np.ndarray:
+    # _discounted_survival at every age of xs, in the same operation order, given
+    # senescent = _senescent_exponent_array(params, xs)
     exponent = -(params.alpha + rate) * xs
-    if params.beta != 0.0:
-        exponent -= (params.beta / params.gamma_exp) * _per_element(
-            math.expm1, params.gamma_exp * xs)
+    if senescent is not None:
+        exponent -= senescent
     return _per_element(math.exp, exponent)
 
 

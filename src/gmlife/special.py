@@ -29,11 +29,14 @@ evaluate one shape at a numpy array of arguments, for a table of ages at
 one rate.  They do the scalar code's arithmetic in the same order, lane by
 lane, and take exp, expm1 and log from ``math`` per element (numpy's own
 may differ from the C library in the last bit), so every lane is bit for
-bit the scalar result.  A lane leaves the numpy loop at the term or
-iteration where the scalar loop would return, or when only a few lanes are
-left: at most _HANDOFF_LANES live lanes go on, one by one in lane order, in
-the scalar loop itself, resumed from their state, since below that width
-numpy's fixed cost per iteration exceeds the scalar loop's per lane.
+bit the scalar result.  The split of the arguments between the fraction
+and the series, with ln z and e**z on the series' lanes, is the same at
+every shape up to 0.1, so a table of several rates computes it once.  A
+lane leaves the numpy loop at the term or iteration where the scalar loop
+would return, or when only a few lanes are left: at most _HANDOFF_LANES
+live lanes go on, one by one in lane order, in the scalar loop itself,
+resumed from their state, since below that width numpy's fixed cost per
+iteration exceeds the scalar loop's per lane.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,14 +287,34 @@ def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
     raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
 
 
-def _series_pair_array(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _series_pair at every lane of z; a lane leaves at the term where _series_pair
-    # returns, or goes on in _series_pair once at most _HANDOFF_LANES are left
+class _Split(NamedTuple):
+    # the lanes of an argument array z below and from a split point at: the
+    # continued fraction's lanes, the series' lanes (those in (0, at), so none the
+    # argument checks reject), and ln z and e**z at the series' lanes
+    cf: np.ndarray
+    low: np.ndarray
+    ln_z: np.ndarray
+    e_z: np.ndarray
+
+
+def _split(z: np.ndarray, at: float = _CF_MIN_Z) -> _Split:
+    # at _CF_MIN_Z this is the split of every shape eta <= _CF_MIN_Z - 1, the shapes
+    # of life, so one table computes it once for all its rates
+    low = np.flatnonzero((z > 0.0) & (z < at))
+    z_low = z[low]
+    return _Split(np.flatnonzero(z >= at), low, _per_element(math.log, z_low),
+                  _per_element(math.exp, z_low))
+
+
+def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
+                       e_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _series_pair at every lane of z, given ln z and e**z there; a lane leaves at
+    # the term where _series_pair returns, or goes on in _series_pair once at most
+    # _HANDOFF_LANES are left
     q = 0.0
     for c in _RGAMMA_TAYLOR:
         q = q * s + c
     rgamma = 1.0 + s * q
-    ln_z = _per_element(math.log, z)
     y = -s * ln_z
     expm1_y_by_s = -ln_z
     normal = np.abs(y) >= _MIN_NORMAL
@@ -315,13 +339,12 @@ def _series_pair_array(s: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         sum_g = sum_g + k * u
         done = (-tol < term) & (term < tol)
         if done.any():
-            e_z = _per_element(math.exp, z[done])
-            f[lanes[done]] = e_z * (lead_f[done] - sum_f[done])
-            g[lanes[done]] = e_z * (lead_g[done] + sum_g[done])
+            f[lanes[done]] = e_z[done] * (lead_f[done] - sum_f[done])
+            g[lanes[done]] = e_z[done] * (lead_g[done] + sum_g[done])
             if done.all():
                 return f, g
             left = ~done
-            lanes, z, term, tol = lanes[left], z[left], term[left], tol[left]
+            lanes, z, e_z, term, tol = lanes[left], z[left], e_z[left], term[left], tol[left]
             sum_f, sum_g, lead_f, lead_g = sum_f[left], sum_g[left], lead_f[left], lead_g[left]
     raise _at_lane(ConvergenceError(f"shape-uniform series stalled (s={s}, z={z[0]})"),
                    lanes[0])
@@ -342,18 +365,21 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     return f, g
 
 
-def _ratio_pair_array(eta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_pair_array(eta: float, z: np.ndarray,
+                      split: _Split | None = None) -> tuple[np.ndarray, np.ndarray]:
     # _ratio_pair at every lane of a 1-D array z, for one shape eta < 1/2; lane for
     # lane bit-identical.  Where eta or a lane of z fails the argument checks of
-    # exp_scaled_upper_inc_gamma, they raise at the first such lane
+    # exp_scaled_upper_inc_gamma, they raise at the first such lane.  split is
+    # _split(z), passed in where several shapes share one z
     ok = (z > 0.0) & (z < math.inf) & math.isfinite(eta)  # nan fails too
     if not ok.all():
         lane = ok.argmin()
         _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
     f, g = np.empty_like(z), np.empty_like(z)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        split = z >= max(_CF_MIN_Z, eta + 1.0)
-        cf, low = np.flatnonzero(split), np.flatnonzero(~split)
+        if split is None or eta + 1.0 > _CF_MIN_Z:
+            split = _split(z, max(_CF_MIN_Z, eta + 1.0))
+        cf, low, ln_z, e_z = split
         if cf.size:
             h = _on_lanes(cf, _upper_cf_array, eta, z[cf])
             f[cf], g[cf] = h, 1.0 + eta * h
@@ -364,7 +390,7 @@ def _ratio_pair_array(eta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 raise _at_lane(ConvergenceError(
                     f"shape {eta} is over {_MAX_ITER} steps below the series (z={z[0]})"),
                     low[0])
-            fl, gl = _on_lanes(low, _series_pair_array, eta + n, z)
+            fl, gl = _on_lanes(low, _series_pair_array, eta + n, z, ln_z, e_z)
             for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
                 fl, gl = (z * fl - 1.0) / (eta + j), z * fl
             f[low], g[low] = fl, gl

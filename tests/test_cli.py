@@ -172,8 +172,8 @@ class TestCsvTable:
         # spot-check the age-40 row against the library
         p = GmParams(0.001, 0.000012, 0.101314)
         row40 = rows[40]
-        assert float(row40[6]) == pytest.approx(annuity(p, 0.026559, 40.0), rel=1e-14)
-        assert float(row40[7]) == pytest.approx(remaining_life(p, 40.0), rel=1e-14)
+        assert float(row40[6]) == pytest.approx(annuity(p, 0.026559, 40.0), rel=1e-14, abs=0)
+        assert float(row40[7]) == pytest.approx(remaining_life(p, 40.0), rel=1e-14, abs=0)
 
     def test_single_row_perpetuity_like(self, capsys):
         code = main([
@@ -185,7 +185,7 @@ class TestCsvTable:
         header, rows = parse_csv(out)
         assert len(rows) == 1
         a_bar = float(rows[0][header.index("a_bar")])
-        assert a_bar == pytest.approx(25.0, rel=1e-12)
+        assert a_bar == pytest.approx(25.0, rel=1e-12, abs=0)
 
     def test_fifteen_digit_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "--x-min", "0", "--x-max", "60",
@@ -292,7 +292,7 @@ class TestJsonTable:
                                "--step", "1", "--format", "json")
         data = json.loads(out)
         p = GmParams(0.001, 0.000012, 0.101314)
-        assert data[0]["a_bar"] == pytest.approx(annuity(p, 0.026559, 30.0), rel=1e-14)
+        assert data[0]["a_bar"] == pytest.approx(annuity(p, 0.026559, 30.0), rel=1e-14, abs=0)
 
     def test_emitter_writes_what_json_dumps_writes(self):
         # two emit blocks of rows, with every kind of float json spells out on
@@ -321,7 +321,7 @@ class TestDoubleRateAndDiagnostics:
         for key in ("D2", "N2", "M2"):
             assert key in row
         assert row["M2"] == pytest.approx(
-            row["D2"] - 2.0 * 0.026559 * row["N2"], rel=1e-12
+            row["D2"] - 2.0 * 0.026559 * row["N2"], rel=1e-12, abs=0
         )
 
     def test_diagnostics_columns(self, capsys):

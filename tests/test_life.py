@@ -93,14 +93,14 @@ MPMATH_VALUES = [
 
 class TestE0:
     def test_exponential_lifetime(self):
-        assert e0(GmParams(0.02, 0.0, 0.1)) == pytest.approx(50.0, rel=1e-14)
+        assert e0(GmParams(0.02, 0.0, 0.1)) == pytest.approx(50.0, rel=1e-14, abs=0)
 
     def test_frozen_value(self):
-        assert e0(BASIS) == pytest.approx(E0_BASIS, rel=1e-11)
+        assert e0(BASIS) == pytest.approx(E0_BASIS, rel=1e-11, abs=0)
 
     def test_pure_gompertz_limit(self):
         p = GmParams(0.0, 0.000012, 0.101314)
-        assert e0(p) == pytest.approx(E0_PURE_GOMPERTZ, rel=1e-11)
+        assert e0(p) == pytest.approx(E0_PURE_GOMPERTZ, rel=1e-11, abs=0)
 
     def test_infinite_lifetime_rejected(self):
         with pytest.raises(ValueError):
@@ -114,10 +114,10 @@ class TestRemainingLife:
     def test_memoryless_exponential(self):
         p = GmParams(0.025, 0.0, 0.1)
         for x in (0.0, 10.0, 77.0):
-            assert remaining_life(p, x) == pytest.approx(40.0, rel=1e-14)
+            assert remaining_life(p, x) == pytest.approx(40.0, rel=1e-14, abs=0)
 
     def test_frozen_value(self):
-        assert remaining_life(BASIS, 65.0) == pytest.approx(REMAINING_65, rel=1e-11)
+        assert remaining_life(BASIS, 65.0) == pytest.approx(REMAINING_65, rel=1e-11, abs=0)
 
     def test_strictly_decreasing_in_age(self):
         vals = [remaining_life(BASIS, x) for x in np.linspace(0.0, 105.0, 36)]
@@ -130,13 +130,15 @@ class TestRemainingLife:
 
 class TestAnnuity:
     def test_perpetuity(self):
-        assert annuity(GmParams(0.0, 0.0, 0.1), 0.04, 0.0) == pytest.approx(25.0, rel=1e-14)
+        assert annuity(GmParams(0.0, 0.0, 0.1), 0.04, 0.0) == pytest.approx(
+            25.0, rel=1e-14, abs=0)
 
     def test_exponential_with_interest(self):
-        assert annuity(GmParams(0.01, 0.0, 0.1), 0.03, 12.0) == pytest.approx(25.0, rel=1e-14)
+        assert annuity(GmParams(0.01, 0.0, 0.1), 0.03, 12.0) == pytest.approx(
+            25.0, rel=1e-14, abs=0)
 
     def test_frozen_value(self):
-        assert annuity(BASIS, DELTA, 40.0) == pytest.approx(ANNUITY_40, rel=1e-11)
+        assert annuity(BASIS, DELTA, 40.0) == pytest.approx(ANNUITY_40, rel=1e-11, abs=0)
 
     def test_zero_rate_is_remaining_life_bitwise(self):
         for x in (0.0, 17.5, 65.0, 101.0):
@@ -162,7 +164,7 @@ class TestAnnuity:
         # the undiscounted value with alpha replaced by alpha + delta
         p = GmParams(alpha, 0.000012, 0.101314)
         shifted = GmParams(alpha + delta, 0.000012, 0.101314)
-        assert annuity(p, delta, 0.0) == pytest.approx(e0(shifted), rel=1e-12)
+        assert annuity(p, delta, 0.0) == pytest.approx(e0(shifted), rel=1e-12, abs=0)
 
     def test_bitwise_equal_to_shifted_e0(self):
         # discount and age shifts land on the exact same code path
@@ -184,7 +186,7 @@ class TestAnnuity:
             shape = 1.0 - a / gam
             bracket = gamma_fn(shape) * (1.0 - gamma_cdf(z, shape))
             direct = (1.0 - z ** (a / gam) * math.exp(z) * bracket) / a
-            assert annuity(BASIS, DELTA, x) == pytest.approx(direct, rel=1e-11)
+            assert annuity(BASIS, DELTA, x) == pytest.approx(direct, rel=1e-11, abs=0)
 
 
 class TestAgeingFactor:
@@ -214,7 +216,7 @@ class TestAgeingFactor:
         a = BASIS.alpha + DELTA
         q = oracle.integrate_survival(BASIS, DELTA, 0.0, tol=1e-10)
         assert ageing_factor(BASIS, DELTA, 0.0) == pytest.approx(
-            1.0 - a * q.value, rel=1e-9
+            1.0 - a * q.value, rel=1e-9, abs=0
         )
 
     def test_undefined_without_hazard_or_interest(self):
@@ -240,28 +242,28 @@ class TestCommutationD:
             x = rng.uniform(0.0, 100.0)
             p = GmParams(alpha, beta, gam)
             assert commutation_d(p, delta, x) == pytest.approx(
-                survival(p, x) * math.exp(-delta * x), rel=1e-13
+                survival(p, x) * math.exp(-delta * x), rel=1e-13, abs=0
             )
 
     def test_frozen_value(self):
-        assert commutation_d(BASIS, DELTA, 50.0) == pytest.approx(D_50, rel=1e-13)
+        assert commutation_d(BASIS, DELTA, 50.0) == pytest.approx(D_50, rel=1e-13, abs=0)
 
 
 class TestCommutationNM:
     def test_n_perpetuity(self):
         p = GmParams(0.0, 0.0, 0.1)
         assert commutation_n(p, 0.05, 10.0) == pytest.approx(
-            math.exp(-0.5) / 0.05, rel=1e-13
+            math.exp(-0.5) / 0.05, rel=1e-13, abs=0
         )
 
     def test_n_exponential_no_interest(self):
         p = GmParams(0.02, 0.0, 0.1)
         assert commutation_n(p, 0.0, 30.0) == pytest.approx(
-            math.exp(-0.6) / 0.02, rel=1e-13
+            math.exp(-0.6) / 0.02, rel=1e-13, abs=0
         )
 
     def test_n_frozen_value(self):
-        assert commutation_n(BASIS, DELTA, 30.0) == pytest.approx(N_30, rel=1e-11)
+        assert commutation_n(BASIS, DELTA, 30.0) == pytest.approx(N_30, rel=1e-11, abs=0)
 
     def test_n_strictly_decreasing_in_age(self):
         vals = [commutation_n(BASIS, DELTA, x) for x in np.linspace(0.0, 105.0, 22)]
@@ -276,10 +278,10 @@ class TestCommutationNM:
         delta = 0.035
         for x in (0.0, 20.0, 60.0):
             expected = 0.015 / 0.05 * math.exp(-0.05 * x)
-            assert commutation_m(p, delta, x) == pytest.approx(expected, rel=1e-13)
+            assert commutation_m(p, delta, x) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_m_frozen_value(self):
-        assert commutation_m(BASIS, DELTA, 30.0) == pytest.approx(M_30, rel=1e-11)
+        assert commutation_m(BASIS, DELTA, 30.0) == pytest.approx(M_30, rel=1e-11, abs=0)
 
     def test_identities(self):
         rng = np.random.default_rng(17)
@@ -296,8 +298,8 @@ class TestCommutationNM:
                 continue
             n = commutation_n(p, delta, x)
             m = commutation_m(p, delta, x)
-            assert n / d == pytest.approx(annuity(p, delta, x), rel=1e-12)
-            assert m == pytest.approx(d - delta * n, rel=1e-12)
+            assert n / d == pytest.approx(annuity(p, delta, x), rel=1e-12, abs=0)
+            assert m == pytest.approx(d - delta * n, rel=1e-12, abs=0)
             assert d > 0.0 and n > 0.0 and m > 0.0 and d <= 1.0
 
 
@@ -310,17 +312,17 @@ class TestCommutationRow:
     def test_row_identity(self):
         for flag, rate in ((False, DELTA), (True, 2.0 * DELTA)):
             row = commutation_row(BASIS, DELTA, 40.0, double_rate=flag)
-            assert row.m_val == pytest.approx(row.d_val - rate * row.n_val, rel=1e-12)
+            assert row.m_val == pytest.approx(row.d_val - rate * row.n_val, rel=1e-12, abs=0)
 
     def test_frozen_values(self):
         row = commutation_row(BASIS, DELTA, 40.0)
-        assert row.d_val == pytest.approx(ROW_40["d"], rel=1e-12)
-        assert row.n_val == pytest.approx(ROW_40["n"], rel=1e-11)
-        assert row.m_val == pytest.approx(ROW_40["m"], rel=1e-10)
+        assert row.d_val == pytest.approx(ROW_40["d"], rel=1e-12, abs=0)
+        assert row.n_val == pytest.approx(ROW_40["n"], rel=1e-11, abs=0)
+        assert row.m_val == pytest.approx(ROW_40["m"], rel=1e-10, abs=0)
         double = commutation_row(BASIS, DELTA, 40.0, double_rate=True)
-        assert double.d_val == pytest.approx(ROW_40_DOUBLE["d"], rel=1e-12)
-        assert double.n_val == pytest.approx(ROW_40_DOUBLE["n"], rel=1e-11)
-        assert double.m_val == pytest.approx(ROW_40_DOUBLE["m"], rel=1e-10)
+        assert double.d_val == pytest.approx(ROW_40_DOUBLE["d"], rel=1e-12, abs=0)
+        assert double.n_val == pytest.approx(ROW_40_DOUBLE["n"], rel=1e-11, abs=0)
+        assert double.m_val == pytest.approx(ROW_40_DOUBLE["m"], rel=1e-10, abs=0)
 
 
 class TestPositiveShapeCheck:
@@ -345,7 +347,7 @@ class TestShapeRegimes:
         delta = 0.06
         assert positive_shape_check(p, delta) == 0.0
         q = oracle.integrate_survival(p, delta, 0.0, tol=1e-12)
-        assert annuity(p, delta, 0.0) == pytest.approx(q.value, rel=1e-9)
+        assert annuity(p, delta, 0.0) == pytest.approx(q.value, rel=1e-9, abs=0)
 
     def test_negative_shape_regime(self):
         rng = np.random.default_rng(31)
@@ -359,7 +361,7 @@ class TestShapeRegimes:
             assert positive_shape_check(p, delta) < 0.0
             closed = annuity(p, delta, x)
             q = oracle.integrate_survival(p, delta, x, tol=1e-11 * closed)
-            assert closed == pytest.approx(q.value, rel=1e-7)
+            assert closed == pytest.approx(q.value, rel=1e-7, abs=0)
 
     def test_high_age_stability(self):
         # push beta e^{gamma x}/gamma up to ~700, past where e^z overflows
@@ -367,7 +369,7 @@ class TestShapeRegimes:
         closed = annuity(BASIS, DELTA, x)
         assert math.isfinite(closed) and closed > 0.0
         q = oracle.integrate_survival(BASIS, DELTA, x, tol=1e-12 * closed)
-        assert closed == pytest.approx(q.value, rel=1e-6)
+        assert closed == pytest.approx(q.value, rel=1e-6, abs=0)
 
     def test_frozen_high_age(self):
         # ages where z = beta*e^(gamma*x)/gamma runs from 8 up to 1.2e40, shapes

@@ -140,6 +140,52 @@ def test_sweep_matches_scalar(case):
             assert_table_matches_scalar(params, rate, xs)
 
 
+def _table_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ConvergenceError, ValueError) as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tables())
+@example(MID_LOOP)
+# e**(gamma x) overflows in the shared step, from age 7005.8 on
+@example((BASIS, DELTA, np.linspace(7000.0, 7010.0, 5)))
+# beta = 0 and alpha = 0: only rate 0, the second, fails
+@example((GmParams(0.0, 0.0, 0.1), 0.03, np.linspace(0.0, 10.0, 3)))
+# z underflows to 0, or overflows to inf where e**(gamma x) does not: the argument
+# checks name these lanes, not the shared logarithm
+@example((GmParams(0.001, 5e-324, 10.0), 0.02, np.array([0.0, 0.5])))
+@example((GmParams(0.001, 100.0, 1.0), 0.02, np.array([0.0, 709.0])))
+def test_rates_share_one_grid(case):
+    # the CLI's rates (r, 0, 2r) from one grid are three life_table calls: the same
+    # columns bit for bit, or what the first rate that fails raises, with its lane
+    params, rate, xs = case
+    rates = (rate, 0.0, 2.0 * rate)
+    with pytest.MonkeyPatch.context() as mp:
+        for width in WIDTHS:
+            note(f"handoff width {width}")
+            mp.setattr(special, "_HANDOFF_LANES", width)
+            shared = _table_or_error(life._life_tables, params, rates, xs)
+            alone = [_table_or_error(life_table, params, r, xs) for r in rates]
+            failed = [t for t in alone if isinstance(t, Exception)]
+            if failed:
+                want = failed[0]
+                assert (type(shared), str(shared), shared.lane) == (
+                    type(want), str(want), want.lane), width
+                # life_table is the one-rate case of the same code: the scalar
+                # call is the check on what both share
+                assert_raises_the_same(want, life._commutation, params,
+                                       rates[alone.index(want)], xs.tolist()[want.lane])
+                continue
+            assert not isinstance(shared, Exception), shared
+            for r, got, table in zip(rates, shared, alone, strict=True):
+                for name in COLUMNS:
+                    assert_bits_equal(got[name], table[name],
+                                      f"{name} at rate {r}, width {width}")
+
+
 def test_stall_after_the_handoff_names_its_age(monkeypatch):
     # MID_LOOP's ages from z = 50 down to 1.1, with 60 iterations of the fraction:
     # the default width hands off at iteration 46 and the last 15 lanes stall in

@@ -70,10 +70,10 @@ class TestSurvival:
 
     def test_exponential_case(self):
         p = GmParams(0.001, 0.0, 7.7)  # gamma value irrelevant here
-        assert survival(p, 100.0) == pytest.approx(math.exp(-0.1), rel=1e-15)
+        assert survival(p, 100.0) == pytest.approx(math.exp(-0.1), rel=1e-15, abs=0)
 
     def test_frozen_value(self):
-        assert survival(BASIS, 65.0) == pytest.approx(SURVIVAL_65, rel=1e-13)
+        assert survival(BASIS, 65.0) == pytest.approx(SURVIVAL_65, rel=1e-13, abs=0)
 
     def test_rejects_negative_or_nonfinite_age(self):
         for bad in (-1.0, math.nan, math.inf):
@@ -101,10 +101,10 @@ class TestMortalityRate:
         assert mortality_rate(GmParams(0.001, 0.0, 0.1), 50.0) == 0.001
 
     def test_at_zero_is_alpha_plus_beta(self):
-        assert mortality_rate(BASIS, 0.0) == pytest.approx(0.001 + 0.000012, rel=1e-15)
+        assert mortality_rate(BASIS, 0.0) == pytest.approx(0.001 + 0.000012, rel=1e-15, abs=0)
 
     def test_frozen_value(self):
-        assert mortality_rate(BASIS, 80.0) == pytest.approx(HAZARD_80, rel=1e-13)
+        assert mortality_rate(BASIS, 80.0) == pytest.approx(HAZARD_80, rel=1e-13, abs=0)
 
     def test_overflow(self):
         with pytest.raises(OverflowError):
@@ -123,7 +123,7 @@ class TestCdf:
 
     def test_exponential_case(self):
         p = GmParams(0.02, 0.0, 0.1)
-        assert cdf(p, 30.0) == pytest.approx(1.0 - math.exp(-0.6), rel=1e-14)
+        assert cdf(p, 30.0) == pytest.approx(1.0 - math.exp(-0.6), rel=1e-14, abs=0)
 
     def test_frozen_small_ages(self):
         for x, want in CDF_SMALL_AGES.items():
@@ -153,7 +153,7 @@ class TestLawIdentities:
                         fd = -(
                             math.log(survival(p, x + h)) - math.log(survival(p, x - h))
                         ) / (2.0 * h)
-                        assert fd == pytest.approx(mu, rel=1e-6)
+                        assert fd == pytest.approx(mu, rel=1e-6, abs=0)
 
     def test_survival_factorizes(self):
         # l = (flat-hazard survival) * (pure-senescent survival)
@@ -162,7 +162,7 @@ class TestLawIdentities:
         senescent = GmParams(0.0, p.beta, p.gamma_exp)
         for x in (0.5, 10.0, 55.0, 100.0):
             assert survival(p, x) == pytest.approx(
-                survival(flat, x) * survival(senescent, x), rel=1e-12
+                survival(flat, x) * survival(senescent, x), rel=1e-12, abs=0
             )
 
     def test_age_shift_identity(self):
@@ -174,5 +174,5 @@ class TestLawIdentities:
             )
             for t in (0.1, 5.0, 25.0, 60.0):
                 assert survival(p, x + t) / survival(p, x) == pytest.approx(
-                    survival(shifted, t), rel=1e-12
+                    survival(shifted, t), rel=1e-12, abs=0
                 )

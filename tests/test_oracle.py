@@ -80,14 +80,14 @@ class TestIntegrateSurvival:
             res = integrate_survival(BASIS, rate, 0.0, tol=1e-12)
             limit = 1.0 / (BASIS.alpha + rate)
             assert res.value <= limit
-            assert res.value == pytest.approx(limit, rel=1e-4), rate
+            assert res.value == pytest.approx(limit, rel=1e-4, abs=0), rate
 
     def test_frozen_reference(self):
         res = integrate_survival(BASIS, 0.0, 0.0, tol=1e-10)
         assert abs(res.value - E0_BASIS) <= 10.0 * 1e-10
         for x, ref in A_BAR_MPMATH.items():
             res = integrate_survival(BASIS, DELTA, x, tol=1e-9 * ref)
-            assert res.value == pytest.approx(ref, rel=1e-9), x
+            assert res.value == pytest.approx(ref, rel=1e-9, abs=0), x
 
     def test_tolerance_halving_self_consistency(self):
         for tol in (1e-8, 1e-10):
@@ -120,7 +120,7 @@ class TestIntegrateM:
                  (GmParams(0.0, 1e-20, 0.1), 0.0)]
         for p, x in cases:
             res = integrate_m(p, 0.0, x, tol=1e-10)
-            assert res.value == pytest.approx(survival(p, x), rel=1e-8), (p, x)
+            assert res.value == pytest.approx(survival(p, x), rel=1e-8, abs=0), (p, x)
 
     def test_no_nan_where_hazard_overflows_and_survival_underflows(self):
         # beta = 1e-300 puts the deaths near t = 691, just below where
@@ -128,10 +128,10 @@ class TestIntegrateM:
         # exhausted budget.  Undiscounted, everyone alive at 0 dies: M(0) = 1.
         p = GmParams(0.0, 1e-300, 1.0)
         res = integrate_m(p, 0.0, 0.0)
-        assert res.value == pytest.approx(1.0, rel=1e-9)
+        assert res.value == pytest.approx(1.0, rel=1e-9, abs=0)
         # the survival integrand's expm1(gamma t) overflows in the same tail
         res = integrate_survival(p, 0.0, 0.0)
-        assert res.value == pytest.approx(remaining_life(p, 0.0), rel=1e-9)
+        assert res.value == pytest.approx(remaining_life(p, 0.0), rel=1e-9, abs=0)
 
     def test_exponential_closed_form(self):
         p = GmParams(0.02, 0.0, 0.1)
@@ -139,14 +139,14 @@ class TestIntegrateM:
         for x in (0.0, 25.0):
             res = integrate_m(p, delta, x, tol=1e-11)
             expected = 0.02 / 0.05 * math.exp(-0.05 * x)
-            assert res.value == pytest.approx(expected, rel=1e-8)
+            assert res.value == pytest.approx(expected, rel=1e-8, abs=0)
 
     def test_frozen_reference(self):
         res = integrate_m(BASIS, DELTA, 30.0, tol=1e-11)
-        assert res.value == pytest.approx(M_30, rel=1e-8)
+        assert res.value == pytest.approx(M_30, rel=1e-8, abs=0)
         for x, ref in M_MPMATH.items():
             res = integrate_m(BASIS, DELTA, x, tol=1e-9 * ref)
-            assert res.value == pytest.approx(ref, rel=1e-9), x
+            assert res.value == pytest.approx(ref, rel=1e-9, abs=0), x
 
     def test_keeps_relative_accuracy_at_tiny_scale(self):
         # D(100) is ~1e-7 here; the normalized form must still resolve it
@@ -251,6 +251,6 @@ class TestMcRemainingLife:
             # spot check the vectorized cdf against the scalar one
             for t in draws[:5]:
                 assert cdf(shifted, float(t)) == pytest.approx(
-                    float(_np_cdf(shifted, np.array([t]))[0]), rel=1e-13
+                    float(_np_cdf(shifted, np.array([t]))[0]), rel=1e-13, abs=0
                 )
             assert ks_statistic(draws, cdf_vals) < KS_CRIT_1PCT / math.sqrt(n)

@@ -144,20 +144,20 @@ def simpson_tail_integral(f, lo, rel_cutoff=1e-18, rel_tol=1e-11):
 
 class TestGammaFn:
     def test_at_one(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
+        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13, abs=0)
 
     def test_at_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13, abs=0)
 
     def test_frozen_quadrature_value(self):
-        assert gamma_fn(0.727984) == pytest.approx(GAMMA_0727984, rel=1e-13)
+        assert gamma_fn(0.727984) == pytest.approx(GAMMA_0727984, rel=1e-13, abs=0)
 
     def test_factorials(self):
         for n in range(1, 20):
-            assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
+            assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13, abs=0)
 
     def test_near_overflow_edge(self):
-        assert gamma_fn(171.6) == pytest.approx(math.exp(ln_gamma_fn(171.6)), rel=1e-12)
+        assert gamma_fn(171.6) == pytest.approx(math.exp(ln_gamma_fn(171.6)), rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         for bad in (0.0, -1.0, -0.5, math.nan, math.inf):
@@ -172,7 +172,7 @@ class TestGammaFn:
 
     def test_frozen_mpmath_values(self):
         for eta, want in MPMATH_GAMMA_FN:
-            assert gamma_fn(eta) == pytest.approx(want, rel=2e-15), eta
+            assert gamma_fn(eta) == pytest.approx(want, rel=2e-15, abs=0), eta
 
 
 class TestLnGammaFn:
@@ -181,15 +181,15 @@ class TestLnGammaFn:
         assert ln_gamma_fn(2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_frozen_log_factorial(self):
-        assert ln_gamma_fn(100.0) == pytest.approx(LN_FACTORIAL_99, rel=1e-13)
+        assert ln_gamma_fn(100.0) == pytest.approx(LN_FACTORIAL_99, rel=1e-13, abs=0)
 
     def test_frozen_mpmath_values(self):
         for eta, want in MPMATH_LN_GAMMA_FN:
-            assert ln_gamma_fn(eta) == pytest.approx(want, rel=2e-15), eta
+            assert ln_gamma_fn(eta) == pytest.approx(want, rel=2e-15, abs=0), eta
 
     def test_consistent_with_gamma_fn(self):
         for eta in (1e-4, 0.1, 0.5, 0.999, 1.5, 7.3, 42.0, 100.0, 160.0, 171.0):
-            assert math.exp(ln_gamma_fn(eta)) == pytest.approx(gamma_fn(eta), rel=1e-12)
+            assert math.exp(ln_gamma_fn(eta)) == pytest.approx(gamma_fn(eta), rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         for bad in (0.0, -3.0, math.nan):
@@ -203,10 +203,10 @@ class TestGammaCdf:
             assert gamma_cdf(0.0, eta) == 0.0
 
     def test_exponential_case(self):
-        assert gamma_cdf(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
+        assert gamma_cdf(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13, abs=0)
 
     def test_frozen_small_argument(self):
-        assert gamma_cdf(SMALL_Z, 0.727984) == pytest.approx(GAMMA_CDF_SMALL_Z, rel=1e-12)
+        assert gamma_cdf(SMALL_Z, 0.727984) == pytest.approx(GAMMA_CDF_SMALL_Z, rel=1e-12, abs=0)
 
     def test_frozen_tiny_shapes(self):
         # the series starts at 1, so no 1/eta overflows and no CDF exceeds 1;
@@ -248,23 +248,25 @@ class TestGammaCdf:
 
 class TestUpperIncGamma:
     def test_shape_one_is_plain_exponential(self):
-        assert upper_inc_gamma_general(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-13)
+        assert upper_inc_gamma_general(1.0, 2.0) == pytest.approx(
+            math.exp(-2.0), rel=1e-13, abs=0)
 
     def test_zero_argument_reduces_to_complete(self):
-        assert upper_inc_gamma_general(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert upper_inc_gamma_general(0.5, 0.0) == pytest.approx(
+            math.sqrt(math.pi), rel=1e-13, abs=0)
 
     def test_frozen_negative_shape(self):
         assert upper_inc_gamma_general(-0.5, 1.0) == pytest.approx(
-            UPPER_NEG_HALF_AT_1, rel=1e-11
+            UPPER_NEG_HALF_AT_1, rel=1e-11, abs=0
         )
         for eta, z, expected in NEAR_POLE_VALUES:
             got = upper_inc_gamma_general(eta, z)
-            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0), (eta, z)
 
     def test_frozen_against_mpmath(self):
         for eta, z, expected, _ in MPMATH_GAMMA_VALUES:
             got = upper_inc_gamma_general(eta, z)
-            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0), (eta, z)
 
     def test_recurrence_consistency(self):
         # |eta*G(eta,z) + z^eta e^-z - G(eta+1,z)| <= 1e-10 |G(eta+1,z)|
@@ -291,7 +293,7 @@ class TestUpperIncGamma:
                 continue
             ref = simpson_tail_integral(lambda y: y ** (eta - 1.0) * math.exp(-y), z)
             got = upper_inc_gamma_general(eta, z)
-            assert got == pytest.approx(ref, rel=1e-9), (eta, z)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0), (eta, z)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -304,27 +306,28 @@ class TestUpperIncGamma:
 
 class TestExpScaledUpperIncGamma:
     def test_cancellation_identity(self):
-        assert exp_scaled_upper_inc_gamma(1.0, 5.0) == pytest.approx(1.0, rel=1e-13)
+        assert exp_scaled_upper_inc_gamma(1.0, 5.0) == pytest.approx(1.0, rel=1e-13, abs=0)
 
     def test_naive_product_cross_check(self):
         naive = gamma_fn(0.727984) * (1.0 - gamma_cdf(SMALL_Z, 0.727984)) * math.exp(SMALL_Z)
-        assert exp_scaled_upper_inc_gamma(0.727984, SMALL_Z) == pytest.approx(naive, rel=1e-11)
+        assert exp_scaled_upper_inc_gamma(0.727984, SMALL_Z) == pytest.approx(
+            naive, rel=1e-11, abs=0)
 
     def test_finite_beyond_exp_overflow(self):
         got = exp_scaled_upper_inc_gamma(0.727984, 800.0)
-        assert got == pytest.approx(EXP_SCALED_AT_800, rel=1e-12)
+        assert got == pytest.approx(EXP_SCALED_AT_800, rel=1e-12, abs=0)
         # asymptotic expansion z^(eta-1) (1 + (eta-1)/z + (eta-1)(eta-2)/z^2 + ...)
         eta, z = 0.727984, 800.0
         term, total = 1.0, 1.0
         for k in range(1, 10):
             term *= (eta - k) / z
             total += term
-        assert got == pytest.approx(z ** (eta - 1.0) * total, rel=1e-12)
+        assert got == pytest.approx(z ** (eta - 1.0) * total, rel=1e-12, abs=0)
 
     def test_frozen_against_mpmath(self):
         for eta, z, _, expected in MPMATH_GAMMA_VALUES:
             got = exp_scaled_upper_inc_gamma(eta, z)
-            assert got == pytest.approx(expected, rel=1e-13), (eta, z)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0), (eta, z)
 
     def test_subnormal_base_shape(self):
         # -s ln z is 0 or subnormal, where expm1(-s ln z)/s is -ln z to within
@@ -332,12 +335,12 @@ class TestExpScaledUpperIncGamma:
         # at z = 1/2 by 50-digit mpmath.gammainc
         for eta in (-5e-324, -1e-319):
             got = exp_scaled_upper_inc_gamma(eta, 0.5)
-            assert got == pytest.approx(0.92291063248373046883, rel=1e-13), eta
+            assert got == pytest.approx(0.92291063248373046883, rel=1e-13, abs=0), eta
 
     def test_frozen_pairs(self):
         for eta, z, f, g in MPMATH_PAIRS:
             got = exp_scaled_upper_inc_gamma(eta, z, pair=True)
-            assert got == pytest.approx((f, g), rel=1e-13), (eta, z)
+            assert got == pytest.approx((f, g), rel=1e-13, abs=0), (eta, z)
 
     def test_pair_matches_single_products(self):
         # z^-eta e^z (Gamma(eta, z), Gamma(eta + 1, z)) on every route: the
@@ -347,9 +350,9 @@ class TestExpScaledUpperIncGamma:
                 f, g = exp_scaled_upper_inc_gamma(eta, z, pair=True)
                 scale = z ** -eta
                 assert f == pytest.approx(
-                    scale * exp_scaled_upper_inc_gamma(eta, z), rel=1e-12), (eta, z)
+                    scale * exp_scaled_upper_inc_gamma(eta, z), rel=1e-12, abs=0), (eta, z)
                 assert g == pytest.approx(
-                    scale * exp_scaled_upper_inc_gamma(eta + 1.0, z), rel=1e-12), (eta, z)
+                    scale * exp_scaled_upper_inc_gamma(eta + 1.0, z), rel=1e-12, abs=0), (eta, z)
 
     def test_scaling_identity(self):
         rng = np.random.default_rng(123)
@@ -360,7 +363,7 @@ class TestExpScaledUpperIncGamma:
             if u <= 0.0 or not math.isfinite(u):
                 continue
             s = exp_scaled_upper_inc_gamma(eta, z)
-            assert s * math.exp(-z) == pytest.approx(u, rel=1e-11), (eta, z)
+            assert s * math.exp(-z) == pytest.approx(u, rel=1e-11, abs=0), (eta, z)
 
     def test_step_budget_is_reported(self):
         # below the split, shapes more than _MAX_ITER steps under the series
