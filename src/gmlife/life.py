@@ -36,20 +36,22 @@ every age of a table in one numpy pass of the batch twins in
 :mod:`gmlife.special`, bit for bit the scalar values.  Arguments are
 validated once, at the public API.
 
-The rates of one table share its grid of ages, computed once: e**(gamma x),
-which gives z; the senescent part (beta/gamma) expm1(gamma x) of every D
-exponent; the split of the ages between the continued fraction (z >= 1.1)
-and the series, the same at every shape -r <= 0; and ln z and e**z at the
-series' ages.  Per rate remain the discount term -(alpha + rate) x and the
-exp of D's exponent, and the gamma product at the rate's shape.
-:func:`life_table` is the one-rate case of the CLI's several-rate entry.
+The rates of one table share the arrays that do not depend on the rate,
+computed once per table in ``_life_tables``: the senescent part
+(beta/gamma) expm1(gamma x) of every D exponent; z, from e**(gamma x); and
+its split (:func:`gmlife.special._split`) between the continued fraction
+(z >= 1.1) and the series, the same at every shape -r <= 0, with ln z and
+e**z at the series' ages.  Per rate remain the discount term
+-(alpha + rate) x and the exp of D's exponent, and the gamma product at the
+rate's shape.  One helper turns (D, a_bar, xi) into the columns for the
+scalar and the batch code alike.  :func:`life_table` is the one-rate case
+of the CLI's several-rate entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,28 +86,6 @@ class CommutationRow:
     m_val: float
 
 
-class _Grid(NamedTuple):
-    # the rate-free terms of a table's ages xs, computed once for all its rates:
-    # with beta > 0, the senescent part of every D exponent, the gamma argument z
-    # and its split into continued-fraction and series lanes, with ln z and e**z
-    # on the series' lanes (special._split)
-    xs: np.ndarray
-    senescent: np.ndarray | None = None
-    z: np.ndarray | None = None
-    split: _Split | None = None
-
-
-def _grid(params: GmParams, xs: np.ndarray) -> _Grid:
-    senescent = _senescent_exponent_array(params, xs)
-    if senescent is None:
-        return _Grid(xs)
-    # exp overflows at exactly the ages where expm1 did, first: the grid raises
-    # what D, the first value at every rate, raises
-    gam = params.gamma_exp
-    z = params.beta * _per_element(math.exp, gam * xs) / gam
-    return _Grid(xs, senescent, z, _split(z))
-
-
 def _check_args(delta: float, x: float = 0.0) -> None:
     if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
@@ -127,14 +107,16 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     return f / gam, 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
 
 
-def _evaluate_table(params: GmParams, a: float, grid: _Grid) -> tuple[np.ndarray, ...]:
-    # _evaluate at every age of the grid, in the same operation order
+def _evaluate_table(params: GmParams, a: float, z: np.ndarray,
+                    split: _Split) -> tuple[np.ndarray, ...]:
+    # _evaluate at every age, given its gamma argument z and split = _split(z), in
+    # the same operation order
     if params.beta == 0.0:
         if a == 0.0:
             raise _at_lane(ValueError("alpha, beta and delta are all zero: value is infinite"), 0)
-        return np.full(grid.xs.shape, 1.0 / a), np.zeros(grid.xs.shape)
+        return np.full(z.shape, 1.0 / a), np.zeros(z.shape)
     gam = params.gamma_exp
-    f, xi = _ratio_pair_array(-(a / gam), grid.z, grid.split)
+    f, xi = _ratio_pair_array(-(a / gam), z, split)
     return f / gam, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
 
 
@@ -179,19 +161,19 @@ def commutation_d(params: GmParams, delta: float, x: float) -> float:
     return _discounted_survival(params, delta, x)
 
 
-def _commutation(params: GmParams, rate: float, x, batch: bool = False) -> tuple:
-    # D, N = D * a_bar, M, a_bar and xi at one rate; unvalidated.  M = D - rate * N
-    # is formed as D * (xi + alpha * a_bar), a sum of non-negative terms, since
-    # 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is D itself.
-    # With batch=True (_life_tables) x is a _Grid of ages and the batch twins run.
-    if batch:
-        d = _discounted_survival_array(params, rate, x.xs, x.senescent)
-        a_bar, xi = _evaluate_table(params, params.alpha + rate, x)
-    else:
-        d = _discounted_survival(params, rate, x)
-        a_bar, xi = _evaluate(params, params.alpha + rate, x)
+def _columns(params: GmParams, rate: float, d, a_bar, xi) -> tuple:
+    # D, N = D * a_bar, M, a_bar and xi at one rate, scalars or arrays alike.
+    # M = D - rate * N is formed as D * (xi + alpha * a_bar), a sum of non-negative
+    # terms, since 1 - rate * a_bar cancels when alpha << rate; undiscounted, M is
+    # D itself
     m = d * (xi + params.alpha * a_bar) if rate else d
     return d, d * a_bar, m, a_bar, xi
+
+
+def _commutation(params: GmParams, rate: float, x: float) -> tuple:
+    # _columns at age x; unvalidated
+    return _columns(params, rate, _discounted_survival(params, rate, x),
+                    *_evaluate(params, params.alpha + rate, x))
 
 
 def commutation_n(params: GmParams, delta: float, x: float) -> float:
@@ -226,11 +208,13 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     Returns arrays keyed D, N, M, a_bar and ageing_factor, each bit for bit
     what :func:`commutation_row`, :func:`annuity` and :func:`ageing_factor`
     give at that age (at delta = 0, D is the survival l(x) and a_bar is
-    e_x).  The gamma product is one numpy pass over all ages, since the shape
-    is fixed at one rate.  Where the scalar functions raise at some age
-    (OverflowError, ConvergenceError or ValueError), this raises too, and the
-    exception's ``lane`` attribute is the index in xs of an age at which
-    :func:`commutation_row` raises the same type and text.
+    e_x).  One exception: at alpha + delta = 0, where :func:`ageing_factor`
+    raises ValueError, the ageing_factor column holds the pair's xi, which is
+    1 to within rounding there.  The gamma product is one numpy pass over all
+    ages, since the shape is fixed at one rate.  Where the scalar functions
+    raise at some age (OverflowError, ConvergenceError or ValueError), this
+    raises too, and the exception's ``lane`` attribute is the index in xs of
+    an age at which :func:`commutation_row` raises the same type and text.
     """
     return _life_tables(params, (delta,), xs)[0]
 
@@ -238,15 +222,24 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
 def _life_tables(params: GmParams, rates: tuple[float, ...],
                  xs) -> list[dict[str, np.ndarray]]:
     # [life_table(params, rate, xs) for rate in rates], with the rate-free terms
-    # computed once.  Rates and ages are checked first; then, where some rate's
-    # table raises, this raises what the first such rate raises, with its lane
+    # computed once: the senescent part of every D exponent, the gamma argument z
+    # (0 at beta = 0, where no rate reads it) and its split.  Rates and ages are
+    # checked first; then, where some rate's table raises, this raises what the
+    # first such rate raises, with its lane
     for rate in rates:
         _check_args(rate)
     xs = _check_ages(xs)
+    gam = params.gamma_exp
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        grid = _grid(params, xs)
-        return [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"),
-                         _commutation(params, rate, grid, batch=True))) for rate in rates]
+        senescent = _senescent_exponent_array(params, xs)
+        # exp overflows at exactly the ages where expm1 did, first: this raises what
+        # D, the first value at every rate, raises
+        z = (params.beta * _per_element(math.exp, gam * xs) / gam if params.beta
+             else np.zeros_like(xs))
+        split = _split(z)
+        return [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), _columns(
+            params, rate, _discounted_survival_array(params, rate, xs, senescent),
+            *_evaluate_table(params, params.alpha + rate, z, split)))) for rate in rates]
 
 
 def positive_shape_check(params: GmParams, delta: float) -> float:

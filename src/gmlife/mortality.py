@@ -76,22 +76,19 @@ def _discounted_survival(params: GmParams, rate: float, x: float) -> float:
     return math.exp(_ln_discounted_survival(params, rate, x))
 
 
-def _senescent_exponent_array(params: GmParams, xs: np.ndarray) -> np.ndarray | None:
+def _senescent_exponent_array(params: GmParams, xs: np.ndarray) -> np.ndarray | float:
     # (beta/gamma_exp) expm1(gamma_exp * x) at every age of xs, the rate-free part of
-    # _ln_discounted_survival; None where beta = 0 and there is none
+    # _ln_discounted_survival; 0.0 where beta = 0, whose subtraction changes no bit
     if params.beta == 0.0:
-        return None
+        return 0.0
     return (params.beta / params.gamma_exp) * _per_element(math.expm1, params.gamma_exp * xs)
 
 
 def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray,
-                               senescent: np.ndarray | None) -> np.ndarray:
+                               senescent: np.ndarray | float) -> np.ndarray:
     # _discounted_survival at every age of xs, in the same operation order, given
     # senescent = _senescent_exponent_array(params, xs)
-    exponent = -(params.alpha + rate) * xs
-    if senescent is not None:
-        exponent -= senescent
-    return _per_element(math.exp, exponent)
+    return _per_element(math.exp, -(params.alpha + rate) * xs - senescent)
 
 
 def survival(params: GmParams, x: float) -> float:

@@ -31,12 +31,13 @@ lane, and take exp, expm1 and log from ``math`` per element (numpy's own
 may differ from the C library in the last bit), so every lane is bit for
 bit the scalar result.  The split of the arguments between the fraction
 and the series, with ln z and e**z on the series' lanes, is the same at
-every shape up to 0.1, so a table of several rates computes it once.  A
-lane leaves the numpy loop at the term or iteration where the scalar loop
-would return, or when only a few lanes are left: at most _HANDOFF_LANES
-live lanes go on, one by one in lane order, in the scalar loop itself,
-resumed from their state, since below that width numpy's fixed cost per
-iteration exceeds the scalar loop's per lane.
+every shape up to 0.1, so a table of several rates computes it once
+(``_split``) and passes it to the batch pair.  A lane leaves the numpy loop
+at the term or iteration where the scalar loop would return, or when only a
+few lanes are left: at most _HANDOFF_LANES live lanes go on, one by one in
+lane order, in the scalar loop itself, resumed from their state, since
+below that width numpy's fixed cost per iteration exceeds the scalar loop's
+per lane.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -288,8 +289,8 @@ def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
 
 
 class _Split(NamedTuple):
-    # the lanes of an argument array z below and from a split point at: the
-    # continued fraction's lanes, the series' lanes (those in (0, at), so none the
+    # the lanes of an argument array z from and below _CF_MIN_Z: the continued
+    # fraction's lanes, the series' lanes (those in (0, _CF_MIN_Z), so none the
     # argument checks reject), and ln z and e**z at the series' lanes
     cf: np.ndarray
     low: np.ndarray
@@ -297,12 +298,12 @@ class _Split(NamedTuple):
     e_z: np.ndarray
 
 
-def _split(z: np.ndarray, at: float = _CF_MIN_Z) -> _Split:
-    # at _CF_MIN_Z this is the split of every shape eta <= _CF_MIN_Z - 1, the shapes
-    # of life, so one table computes it once for all its rates
-    low = np.flatnonzero((z > 0.0) & (z < at))
+def _split(z: np.ndarray) -> _Split:
+    # the split at _CF_MIN_Z, the same at every shape eta <= _CF_MIN_Z - 1 (the
+    # shapes of life), so one table computes it once for all its rates
+    low = np.flatnonzero((z > 0.0) & (z < _CF_MIN_Z))
     z_low = z[low]
-    return _Split(np.flatnonzero(z >= at), low, _per_element(math.log, z_low),
+    return _Split(np.flatnonzero(z >= _CF_MIN_Z), low, _per_element(math.log, z_low),
                   _per_element(math.exp, z_low))
 
 
@@ -366,19 +367,17 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
 
 
 def _ratio_pair_array(eta: float, z: np.ndarray,
-                      split: _Split | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # _ratio_pair at every lane of a 1-D array z, for one shape eta < 1/2; lane for
-    # lane bit-identical.  Where eta or a lane of z fails the argument checks of
-    # exp_scaled_upper_inc_gamma, they raise at the first such lane.  split is
-    # _split(z), passed in where several shapes share one z
+                      split: _Split) -> tuple[np.ndarray, np.ndarray]:
+    # _ratio_pair at every lane of a 1-D array z, for one shape eta <= _CF_MIN_Z - 1,
+    # given split = _split(z), which several such shapes share; lane for lane
+    # bit-identical.  Where eta or a lane of z fails the argument checks of
+    # exp_scaled_upper_inc_gamma, they raise at the first such lane
     ok = (z > 0.0) & (z < math.inf) & math.isfinite(eta)  # nan fails too
     if not ok.all():
         lane = ok.argmin()
         _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
     f, g = np.empty_like(z), np.empty_like(z)
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        if split is None or eta + 1.0 > _CF_MIN_Z:
-            split = _split(z, max(_CF_MIN_Z, eta + 1.0))
         cf, low, ln_z, e_z = split
         if cf.size:
             h = _on_lanes(cf, _upper_cf_array, eta, z[cf])

@@ -24,6 +24,7 @@ from gmlife.life import (
     commutation_n,
     commutation_row,
     e0,
+    life_table,
     positive_shape_check,
     remaining_life,
 )
@@ -222,6 +223,16 @@ class TestAgeingFactor:
     def test_undefined_without_hazard_or_interest(self):
         with pytest.raises(ValueError):
             ageing_factor(GmParams(0.0, 1e-5, 0.1), 0.0, 10.0)
+
+    def test_table_column_where_the_scalar_is_undefined(self):
+        # life_table's one exception to the scalar values: at alpha + delta = 0 its
+        # ageing_factor column holds the pair's xi, where the scalar call raises
+        params, xs = GmParams(0.0, 1e-5, 0.1), [0.0, 50.0, 120.0]
+        column = life_table(params, 0.0, xs)["ageing_factor"]
+        assert np.all(np.isfinite(column) & (column >= 0.0) & (column <= 1.0)), column
+        for x in xs:
+            with pytest.raises(ValueError, match="undefined when alpha \\+ delta = 0"):
+                ageing_factor(params, 0.0, x)
 
 
 class TestCommutationD:

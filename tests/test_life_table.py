@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from gmlife import life, special
 from gmlife.life import life_table, remaining_life
 from gmlife.mortality import GmParams, mortality_rate, mortality_rates, survival
-from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array
+from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array, _split
 
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 DELTA = 0.026559
@@ -158,6 +158,10 @@ def _table_or_error(fn, *args):
 # checks name these lanes, not the shared logarithm
 @example((GmParams(0.001, 5e-324, 10.0), 0.02, np.array([0.0, 0.5])))
 @example((GmParams(0.001, 100.0, 1.0), 0.02, np.array([0.0, 709.0])))
+# an age of -0.0, with no senescent term (where gamma_exp may be negative) and with one
+@example((GmParams(0.001, 0.0, -1.0), DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
+@example((GmParams(0.0, 0.0, -1.0), DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
+@example((BASIS, DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
 def test_rates_share_one_grid(case):
     # the CLI's rates (r, 0, 2r) from one grid are three life_table calls: the same
     # columns bit for bit, or what the first rate that fails raises, with its lane
@@ -203,28 +207,30 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(st.floats(-15.0, 0.4999), st.floats(-2000.0, -400.0)),
+@given(st.one_of(st.floats(-15.0, 0.1), st.floats(-2000.0, -400.0)),
        st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30), st.sampled_from((500, 12)))
 @example(-0.3, [0.01, 500.0, 0.9, 1.05], 12)
 @example(-0.3, np.geomspace(1e-3, 50.0, 200).tolist(), 500)
 @example(-0.3, np.geomspace(50.0, 1.1, 200).tolist(), 60)
 @example(-0.3, np.geomspace(1.09, 1e-3, 200).tolist(), 16)
 def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
-    # every base shape of the series, not only the non-positive shapes of life,
-    # and shapes whose arguments below the split are over 500 steps from it.  At
+    # every shape that shares the split, up to 0.1, and so every base shape of the
+    # series: those in [0.1, 1/2) are one step down from shapes in [-0.9, -0.5).
+    # Also shapes whose arguments below the split are over 500 steps from it.  At
     # 12 iterations the fraction stalls near the split, and so does the series
     # (at lane 2 of the example, the second of its lanes below the split).  Over
     # 200 lanes, 1e-3 to 50, the series and the fraction both hand off mid-loop;
     # from 50 down to 1.1 at 60 iterations, and from 1.09 down to 1e-3 at 16
     # terms, lanes stall after the handoff.  Every width names the same lane
     named = set()
+    z = np.array(zs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(special, "_MAX_ITER", max_iter)
         for width in WIDTHS:
             note(f"handoff width {width}")
             mp.setattr(special, "_HANDOFF_LANES", width)
             try:
-                f, g = _ratio_pair_array(eta, np.array(zs))
+                f, g = _ratio_pair_array(eta, z, _split(z))
             except ConvergenceError as exc:
                 assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
                 named.add(exc.lane)
@@ -239,7 +245,7 @@ def test_subnormal_shapes_match_scalar():
     # base shapes where -s ln z is 0 or subnormal take -ln z in both twins
     zs = np.array([1e-8, 0.5, 1.0, 1.05, 3.0])
     for eta in (-5e-324, 5e-324, -1e-319, -1e-300, 0.0):
-        f, g = _ratio_pair_array(eta, zs)
+        f, g = _ratio_pair_array(eta, zs, _split(zs))
         want = np.array([_ratio_pair(eta, v) for v in zs.tolist()])
         assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
         assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
