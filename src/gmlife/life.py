@@ -58,7 +58,7 @@ import numpy as np
 from .mortality import (GmParams, _check_age, _check_ages, _discounted_survival,
                         _discounted_survival_array, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import (_at_lane, _per_element, _ratio_pair_array, _split, _Split,
+from .special import (_on_lanes, _per_element, _ratio_pair_array, _split,
                       exp_scaled_upper_inc_gamma)
 
 __all__ = [
@@ -108,13 +108,14 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
 
 
 def _evaluate_table(params: GmParams, a: float, z: np.ndarray,
-                    split: _Split) -> tuple[np.ndarray, ...]:
+                    split: tuple) -> tuple[np.ndarray, ...]:
     # _evaluate at every age, given its gamma argument z and split = _split(z), in
     # the same operation order
     if params.beta == 0.0:
-        if a == 0.0:
-            raise _at_lane(ValueError("alpha, beta and delta are all zero: value is infinite"), 0)
-        return np.full(z.shape, 1.0 / a), np.zeros(z.shape)
+        if a == 0.0 and z.size:  # _evaluate raises at every age; name the first
+            _on_lanes((0,), _evaluate, params, a, 0.0)
+        # a_bar = 1/a, infinite at a = 0, where only an empty table gets here
+        return np.full(z.shape, 1.0 / a if a else math.inf), np.zeros(z.shape)
     gam = params.gamma_exp
     f, xi = _ratio_pair_array(-(a / gam), z, split)
     return f / gam, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))

@@ -32,12 +32,14 @@ may differ from the C library in the last bit), so every lane is bit for
 bit the scalar result.  The split of the arguments between the fraction
 and the series, with ln z and e**z on the series' lanes, is the same at
 every shape up to 0.1, so a table of several rates computes it once
-(``_split``) and passes it to the batch pair.  A lane leaves the numpy loop
-at the term or iteration where the scalar loop would return, or when only a
-few lanes are left: at most _HANDOFF_LANES live lanes go on, one by one in
-lane order, in the scalar loop itself, resumed from their state, since
-below that width numpy's fixed cost per iteration exceeds the scalar loop's
-per lane.
+(``_split``) and passes it to the batch pair.  The twins only converge
+lanes: a lane leaves the numpy loop at the term or iteration where the
+scalar loop would return.  Once at most _HANDOFF_LANES lanes are live
+(below that width numpy's fixed cost per iteration exceeds the scalar
+loop's per lane) or the budget is spent, each live lane goes on, in lane
+order, in the scalar loop itself, resumed from its state.  A lane live at
+the budget's end resumes with no iterations left and the scalar loop
+raises: every failure is raised, and worded, by the scalar code.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -158,8 +159,6 @@ def _lower_reg_series(eta: float, z: float) -> float:
     # Regularized lower incomplete gamma by power series; needs z < eta + 1.  The
     # series is scaled by eta, so it starts at 1 and Gamma(eta + 1) divides it: no
     # 1/eta to overflow and no ln Gamma(eta) ~ -ln eta to round in the exponent
-    if z == 0.0:
-        return 0.0
     term = total = 1.0
     ap = eta
     for _ in range(_MAX_ITER):
@@ -204,17 +203,16 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
 
 def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
     # _upper_cf at every lane of z; a lane leaves at the iteration where _upper_cf
-    # returns, or goes on in _upper_cf once at most _HANDOFF_LANES are left
+    # returns, or goes on in _upper_cf once at most _HANDOFF_LANES are left or the
+    # budget is spent
     out = np.empty_like(z)
     lanes = np.arange(z.size)
     b = z + 1.0 - eta
     c = np.full(z.size, 1.0 / _LENTZ_TINY)
     d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
     h = d
-    for i in range(1, _MAX_ITER + 1):
-        if lanes.size <= _HANDOFF_LANES:
-            out[lanes] = _hand_off(_upper_cf, eta, i, lanes, z[lanes], b, c, d, h)
-            return out
+    i = 1
+    while lanes.size > _HANDOFF_LANES and i <= _MAX_ITER:
         an = -i * (i - eta)
         b = b + 2.0
         d = an * d + b
@@ -227,13 +225,11 @@ def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
         done = np.abs(delta - 1.0) < _REL_EPS
         if done.any():
             out[lanes[done]] = h[done]
-            if done.all():
-                return out
             left = ~done
             lanes, b, c, d, h = lanes[left], b[left], c[left], d[left], h[left]
-    raise _at_lane(ConvergenceError(
-        f"upper incomplete gamma continued fraction stalled (eta={eta}, z={z[lanes[0]]})"
-    ), lanes[0])
+        i += 1
+    out[lanes] = _hand_off(_upper_cf, eta, i, lanes, z[lanes], b, c, d, h)
+    return out
 
 
 def gamma_cdf(z: float, eta: float) -> float:
@@ -288,30 +284,23 @@ def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
     raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
 
 
-class _Split(NamedTuple):
-    # the lanes of an argument array z from and below _CF_MIN_Z: the continued
-    # fraction's lanes, the series' lanes (those in (0, _CF_MIN_Z), so none the
-    # argument checks reject), and ln z and e**z at the series' lanes
-    cf: np.ndarray
-    low: np.ndarray
-    ln_z: np.ndarray
-    e_z: np.ndarray
-
-
-def _split(z: np.ndarray) -> _Split:
-    # the split at _CF_MIN_Z, the same at every shape eta <= _CF_MIN_Z - 1 (the
+def _split(z: np.ndarray) -> tuple:
+    # (cf, low, ln_z, e_z): the lanes of an argument array z from _CF_MIN_Z, those of
+    # the continued fraction, and below it, those of the series (the lanes in
+    # (0, _CF_MIN_Z), so none the argument checks reject), with ln z and e**z at the
+    # series' lanes.  The split is the same at every shape eta <= _CF_MIN_Z - 1 (the
     # shapes of life), so one table computes it once for all its rates
     low = np.flatnonzero((z > 0.0) & (z < _CF_MIN_Z))
     z_low = z[low]
-    return _Split(np.flatnonzero(z >= _CF_MIN_Z), low, _per_element(math.log, z_low),
-                  _per_element(math.exp, z_low))
+    return (np.flatnonzero(z >= _CF_MIN_Z), low, _per_element(math.log, z_low),
+            _per_element(math.exp, z_low))
 
 
 def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
                        e_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _series_pair at every lane of z, given ln z and e**z there; a lane leaves at
     # the term where _series_pair returns, or goes on in _series_pair once at most
-    # _HANDOFF_LANES are left
+    # _HANDOFF_LANES are left or the budget is spent
     q = 0.0
     for c in _RGAMMA_TAYLOR:
         q = q * s + c
@@ -328,11 +317,7 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
     term = np.ones_like(z)
     sum_f, sum_g = np.zeros_like(z), np.zeros_like(z)
     k = 0.0
-    for _ in range(_MAX_ITER):
-        if lanes.size <= _HANDOFF_LANES:
-            f[lanes], g[lanes] = np.array(_hand_off(_series_pair, s, k, lanes, z, term,
-                                                    sum_f, sum_g, tol, lead_f, lead_g)).T
-            return f, g
+    while lanes.size > _HANDOFF_LANES and k < _MAX_ITER:
         k += 1.0
         term = term * (-z / k)
         u = term / (s + k)
@@ -342,13 +327,12 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
         if done.any():
             f[lanes[done]] = e_z[done] * (lead_f[done] - sum_f[done])
             g[lanes[done]] = e_z[done] * (lead_g[done] + sum_g[done])
-            if done.all():
-                return f, g
             left = ~done
             lanes, z, e_z, term, tol = lanes[left], z[left], e_z[left], term[left], tol[left]
             sum_f, sum_g, lead_f, lead_g = sum_f[left], sum_g[left], lead_f[left], lead_g[left]
-    raise _at_lane(ConvergenceError(f"shape-uniform series stalled (s={s}, z={z[0]})"),
-                   lanes[0])
+    f[lanes], g[lanes] = np.reshape(_hand_off(_series_pair, s, k, lanes, z, term, sum_f,
+                                              sum_g, tol, lead_f, lead_g), (-1, 2)).T
+    return f, g
 
 
 def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
@@ -367,7 +351,7 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
 
 
 def _ratio_pair_array(eta: float, z: np.ndarray,
-                      split: _Split) -> tuple[np.ndarray, np.ndarray]:
+                      split: tuple) -> tuple[np.ndarray, np.ndarray]:
     # _ratio_pair at every lane of a 1-D array z, for one shape eta <= _CF_MIN_Z - 1,
     # given split = _split(z), which several such shapes share; lane for lane
     # bit-identical.  Where eta or a lane of z fails the argument checks of
@@ -385,10 +369,8 @@ def _ratio_pair_array(eta: float, z: np.ndarray,
         if low.size:
             z = z[low]
             n = math.ceil(-0.5 - eta)
-            if n > _MAX_ITER:
-                raise _at_lane(ConvergenceError(
-                    f"shape {eta} is over {_MAX_ITER} steps below the series (z={z[0]})"),
-                    low[0])
+            if n > _MAX_ITER:  # _ratio_pair raises the step budget at the first lane
+                _on_lanes(low, _ratio_pair, eta, float(z[0]))
             fl, gl = _on_lanes(low, _series_pair_array, eta + n, z, ln_z, e_z)
             for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
                 fl, gl = (z * fl - 1.0) / (eta + j), z * fl

@@ -537,6 +537,15 @@ class TestExitCodes:
              "--delta", "0.03", "--x-min", "0", "--x-max", "1", "--step", "1"],
             ["--alpha", "0.01", "--beta", "0", "--gamma", "0.1", "--delta", "1e308",
              "--x-min", "0", "--x-max", "1", "--step", "1", "--double-rate"],
+            REMARK_FLAGS[:6] + ["--delta", "-0.01", "--x-min", "0", "--x-max", "1",
+                                "--step", "1"],
+            REMARK_FLAGS[:6] + ["--delta", "nan", "--x-min", "0", "--x-max", "1",
+                                "--step", "1"],
+            # --diagnostics needs a shape, and an ageing factor
+            ["--alpha", "0.01", "--beta", "0", "--gamma", "0", "--delta", "0.03",
+             "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
+            ["--alpha", "0", "--beta", "0.000012", "--gamma", "0.101314", "--delta", "0",
+             "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "inf", "--step", "1"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1e-300"],
             # finite, but ~1e300 rows

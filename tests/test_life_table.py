@@ -213,6 +213,10 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
 @example(-0.3, np.geomspace(1e-3, 50.0, 200).tolist(), 500)
 @example(-0.3, np.geomspace(50.0, 1.1, 200).tolist(), 60)
 @example(-0.3, np.geomspace(1.09, 1e-3, 200).tolist(), 16)
+# at 12 iterations over 200 lanes, the fraction has 127 lanes and the series 43
+# live when the budget is spent: the scalar loop takes them over with none left
+@example(-0.3, np.geomspace(1.1, 50.0, 200).tolist(), 12)
+@example(-0.3, np.geomspace(1e-3, 1.09, 200).tolist(), 12)
 def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
     # every shape that shares the split, up to 0.1, and so every base shape of the
     # series: those in [0.1, 1/2) are one step down from shapes in [-0.9, -0.5).
@@ -261,3 +265,17 @@ def test_rejects_what_the_scalar_api_rejects():
             mortality_rates(BASIS, bad)
     with pytest.raises(ValueError):
         life_table(BASIS, -DELTA, [0.0])
+
+
+def test_empty_ages_return_empty_columns():
+    # with no senescence and no flat hazard every age fails, and an empty table
+    # has none: it returns empty columns, as it does on any other basis
+    params = GmParams(0.0, 0.0, 0.1)
+    for tables in ([life_table(params, 0.0, [])], life._life_tables(params, (0.03, 0.0), [])):
+        for table in tables:
+            for name in COLUMNS:
+                assert table[name].shape == (0,), name
+    with pytest.raises(ValueError) as exc:
+        life._life_tables(params, (0.03, 0.0), [2.0, 5.0])
+    assert exc.value.lane == 0
+    assert_raises_the_same(exc.value, life._commutation, params, 0.0, 2.0)

@@ -259,8 +259,11 @@ def test_table_rejects_what_the_scalar_call_rejects():
             table_fn(BASIS, DELTA, [0.0, 1.0], tol=np.array([1e-9, 0.0]))
         with pytest.raises(ValueError):
             table_fn(GmParams(0.0, 0.0, 0.1), 0.0, [0.0])
-    with pytest.raises(ValueError):
-        mc_remaining_life_table(BASIS, [0.0, -1.0], 1000, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            table_fn(BASIS, -DELTA, [0.0])
+    for params, xs in ((BASIS, [0.0, -1.0]), (GmParams(0.0, 0.0, 0.1), [0.0])):
+        with pytest.raises(ValueError):
+            mc_remaining_life_table(params, xs, 1000, np.random.default_rng(0))
     # an aged basis that is not representable fails at its lane, with the scalar
     # call's error: e**(gamma x) overflows at age 8000, and beta e**(gamma x) at
     # 7000 when beta is 1e10

@@ -383,5 +383,6 @@ def test_iteration_cap_is_reported(monkeypatch):
     import gmlife.special as special_mod
 
     monkeypatch.setattr(special_mod, "_MAX_ITER", 2)
-    with pytest.raises(ConvergenceError):
-        special_mod.gamma_cdf(40.0, 3.0)
+    for z in (40.0, 0.5):  # the continued fraction, then the lower series
+        with pytest.raises(ConvergenceError):
+            special_mod.gamma_cdf(z, 3.0)
