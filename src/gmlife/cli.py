@@ -20,18 +20,25 @@ the whole age grid, every rate from one set of rate-free per-age terms (as
 :func:`gmlife.life.life_table` does for one rate), and written a block of
 rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
 numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row.
-``--verify`` adds one lane-batched quadrature per integral over the grid
-and one Monte-Carlo table, whose ages share one seeded draw: a row's
-``e_x_mc_dev`` depends only on its age and ``--seed``, not on where the row
-sits in the grid.  A relative difference is 0 where both values are 0 and
-inf where only the oracle's is; one that is NaN fails verification.
+Where the process may run on more than one CPU and the table has more than
+one CSV block, the blocks are formatted on two threads, since numpy releases
+the GIL in most of the formatter's work; the main thread writes them in
+order, the output is the same bytes, and at most one finished block from
+each thread waits to be written.  ``--verify`` adds one lane-batched
+quadrature per integral over the grid and one Monte-Carlo table, whose ages
+share one seeded draw: a row's ``e_x_mc_dev`` depends only on its age and
+``--seed``, not on where the row sits in the grid.  A relative difference is
+0 where both values are 0 and inf where only the oracle's is; one that is
+NaN fails verification.
 
-Exit codes: 0 success, 2 bad flags or invalid basis, 3 numerical failure
-at some age, 4 verification failure.  Exit 3 names the first age at which
-the scalar API raises, taking a row's calls in column order (rate delta,
-rate 0, twice the rate, then the oracles), and that call's error.  The
-columns find it on their own: a batch that fails names a lane, an age at
-which the scalar call raises the same, and the ages before it run again.
+Exit codes: 0 success, 1 standard output closed before the whole table was
+written (as by ``gmlife ... | head``; nothing is printed to stderr), 2 bad
+flags or invalid basis, 3 numerical failure at some age, 4 verification
+failure.  Exit 3 names the first age at which the scalar API raises, taking
+a row's calls in column order (rate delta, rate 0, twice the rate, then the
+oracles), and that call's error.  The columns find it on their own: a batch
+that fails names a lane, an age at which the scalar call raises the same,
+and the ages before it run again.
 """
 
 from __future__ import annotations
@@ -40,21 +47,25 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
 from . import life, oracle
 from .life import _life_tables  # by name: perfbench/tracing.py swaps cli.life for __all__
-from .mortality import GmParams, mortality_rate, mortality_rates, survival
+from .mortality import GmParams, mortality_rate, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
 # At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
-# emitted, and computing them peaks at ~295 MB RSS (~270 MB plain), the age grid
-# shared by the rates (~38 B a row, freed once the columns are done) included
+# emitted, and computing them peaks at ~302 MB RSS (~274 MB plain), the age grid
+# shared by the rates (~38 B a row, freed once the columns are done) and mu, made
+# from the grid, included.  Emitting on two threads keeps a second block in
+# flight, ~4 MB of formatter arrays and text, whatever the row count
 _MAX_ROWS = 1_000_000
 _EMIT_BLOCK = 1024  # rows formatted per write: only one block's text is alive
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
@@ -157,11 +168,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
-    # one table per rate from one age grid, in the scalar API's row order (mu fails
-    # only where D does): at rate 0 its D is l and its a_bar is e_x
+    # one table per rate, and mu, from one age grid, in the scalar API's row order
+    # (mu fails only where D does): at rate 0 its D is l and its a_bar is e_x
     rates = (args.delta, 0.0) + ((2.0 * args.delta,) if args.double_rate else ())
-    single, undiscounted, *double = _life_tables(params, rates, xs)
-    cols = {"x": xs, "l": undiscounted["D"], "mu": mortality_rates(params, xs)}
+    mu, (single, undiscounted, *double) = _life_tables(params, rates, xs)
+    cols = {"x": xs, "l": undiscounted["D"], "mu": mu}
     cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
     cols["e_x"] = undiscounted["a_bar"]
     for table in double:
@@ -230,17 +241,86 @@ def _json_cells(c: np.ndarray) -> list:
     return values
 
 
+def _cpu_count() -> int:
+    # the CPUs this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_blocks(block_text, n_blocks: int, out) -> None:
+    # out.write(block_text(i)) for i in range(n_blocks), in order, with the texts
+    # made by this thread and one helper, each taking the next block nobody has
+    # taken.  Only this thread writes.  The helper hands over one finished block at
+    # a time, and this thread makes a block only while it holds none unwritten, so
+    # at most one finished block from each thread waits.  The helper is stopped and
+    # joined before this returns or raises
+    import queue  # serial runs never import it
+
+    lock = threading.Lock()
+    untaken = iter(range(n_blocks))
+    done = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def take() -> int:
+        with lock:
+            return next(untaken, n_blocks)
+
+    def helper() -> None:
+        try:
+            while not stop.is_set() and (i := take()) < n_blocks:
+                done.put((i, block_text(i)))
+        except BaseException as exc:  # raised by the writing thread
+            done.put((None, exc))
+
+    thread = threading.Thread(target=helper, name="gmlife-emit", daemon=True)
+    thread.start()
+    try:
+        ready = {}
+        for i in range(n_blocks):
+            while i not in ready:
+                # this thread's own unwritten block, or none left to take, means
+                # that block i is the helper's
+                j = n_blocks if ready else take()
+                if j == n_blocks:
+                    j, text = done.get()
+                    if j is None:
+                        raise text
+                else:
+                    text = block_text(j)
+                ready[j] = text
+            out.write(ready.pop(i))
+    finally:
+        stop.set()
+        try:
+            done.get_nowait()  # frees the one put the helper may still make
+        except queue.Empty:
+            pass
+        thread.join()
+
+
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
     fields = list(cols)
     if fmt == "csv":
-        from .formatting import format_cells  # JSON-only runs never compile it
+        from .formatting import _tables, format_cells  # JSON-only runs never compile it
 
         out.write(",".join(fields) + "\n")
         seps = np.full(len(fields), ord(","), np.uint8)
         seps[-1] = ord("\n")
-        for start in range(0, cols["x"].size, _EMIT_BLOCK):
+
+        def block_text(i: int) -> str:
+            start = i * _EMIT_BLOCK
             block = np.column_stack([c[start:start + _EMIT_BLOCK] for c in cols.values()])
-            out.write(format_cells(block.ravel(), np.tile(seps, len(block))).decode())
+            return format_cells(block.ravel(), np.tile(seps, len(block))).decode()
+
+        n_blocks = -(-cols["x"].size // _EMIT_BLOCK)
+        if n_blocks > 1 and _cpu_count() > 1:
+            # format_cells releases the GIL in most of its numpy calls
+            _tables()  # built once, here, for both threads
+            _write_blocks(block_text, n_blocks, out)
+        else:
+            for i in range(n_blocks):
+                out.write(block_text(i))
     else:
         # json.dumps(rows as dicts, indent=2) is "[\n" + items joined by ",\n" + "\n]",
         # and each item is one template filled with a row: %s of a float is its
@@ -267,7 +347,14 @@ def main(argv: list[str] | None = None) -> int:
     except _NumericalFailure as exc:
         print(f"{parser.prog}: numerical failure {exc}", file=sys.stderr)
         return 3
-    _emit(cols, args.format, sys.stdout)
+    try:
+        _emit(cols, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (gmlife ... | head): the recipe of the signal module's
+        # docs, so that the flush at exit writes to nothing and prints no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     failure = _verify_failure(cols, args.verify_tol) if args.verify else None
     if failure:
         print(f"{parser.prog}: verification failed: {failure}", file=sys.stderr)

@@ -19,13 +19,18 @@ The digits of n, 4 at a time, the exponent and the constant bytes make a
 source row per cell.  A layout row per (sign, %g form, significant digits)
 picks the cell's bytes from it, and the pad bytes are dropped.  The tables
 are built on first use, a row of powers per exponent and a layout per key as
-they appear, so importing this module builds none of them.
+they appear, so importing this module builds none of them.  Threads may call
+:func:`format_cells` at once: one at a time fills rows, under a lock, and a
+row's column 0, which every caller reads to tell whether the row is filled,
+is written last.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
+import threading
 
 import numpy as np
 
@@ -42,6 +47,7 @@ _ROW_BYTES = 28  # 7 uint32 words
 _FORMS = 21  # fixed at e = -4..14, then exponent with 2 or 3 digits
 _TEXT_BYTES = 22  # the longest text, e.g. -1.23456789012345e-100
 _FALLBACK_KEY = 2 * _FORMS * _SIG  # plus the text's length less one
+_FILLING = threading.Lock()  # held while rows of the tables are filled
 
 
 @functools.cache
@@ -67,6 +73,8 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 def _fill_powers(powers: np.ndarray, rows) -> None:
     for row in rows:
+        if not math.isnan(powers[0, row]):  # another thread filled it meanwhile
+            continue
         k = _SIG - 1 - (row + _E_MIN)
         if k >= 0:
             hi = float(10**k)
@@ -76,12 +84,15 @@ def _fill_powers(powers: np.ndarray, rows) -> None:
             num, den = hi.as_integer_ratio()
             lo = (den - num * 10**-k) / (den * 10**-k)
         big = _SPLIT * hi
-        powers[:, row] = hi, lo, big - (big - hi), hi - (big - (big - hi))
+        powers[1:, row] = lo, big - (big - hi), hi - (big - (big - hi))
+        powers[0, row] = hi  # last: a reader that finds hi finds the whole row
 
 
 def _fill_layouts(layouts: np.ndarray, keys) -> None:
     # a key's layout: the source-row columns of its text, separator and pads
     for key in keys:
+        if layouts[key, 0] >= 0:  # another thread filled it meanwhile
+            continue
         if key >= _FALLBACK_KEY:  # "%.15g" % v, written from column 0
             text = list(range(key - _FALLBACK_KEY + 1))
         else:
@@ -97,20 +108,25 @@ def _fill_layouts(layouts: np.ndarray, keys) -> None:
                 text = [1] + ([_DOT, *digits[1:]] if s else []) + [
                     _E, _EXP_SIGN, *range(_EXP_SIGN + 1 + (form == _FORMS - 2), _DOT)]
             text = [_MINUS] * minus + text
-        layouts[key] = text + [_SEP] + [_PAD] * (_TEXT_BYTES - len(text))
+        layouts[key, 1:] = text[1:] + [_SEP] + [_PAD] * (_TEXT_BYTES - len(text))
+        layouts[key, 0] = text[0]  # last, as in _fill_powers
 
 
-def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
-    """The bytes of ``"%.15g" % v[i]`` and then the byte ``seps[i]``, for each
-    cell of a 1-D float64 array ``v``; ``seps`` is a uint8 array of its size."""
-    powers, exps, forms, layouts, quads, zeros = _tables()
+def _nearest(v: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    # each cell's power row e - _E_MIN, the integer n nearest |v| * 10**(14-e), and
+    # whether n gives the cell's 15 digits (n is 1e14 where it does not).  Its float
+    # temporaries are freed on return, before format_cells makes the bytes.  Kept
+    # to the end, they raised the peak of a 13,312-cell block (1,024 rows of 13
+    # columns) from ~3.9 to ~5.2 MB, and glibc then trimmed its heap and faulted it
+    # back in on every block, which doubled a block's time
     a = np.abs(v)
     ok = (a >= 1e-199) & (a < 1e199)
     a[~ok] = 1.0
     row = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp) - _E_MIN
     fresh = np.isnan(powers[0].take(row))
     if fresh.any():
-        _fill_powers(powers, set(row[fresh].tolist()))
+        with _FILLING:
+            _fill_powers(powers, set(row[fresh].tolist()))
     hi, lo, hh, hl = powers.take(row, axis=1)
     p = a * hi
     big = _SPLIT * a
@@ -121,7 +137,14 @@ def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
     frac = (p - whole) + p_lo
     n = whole + (frac > 0.5)
     ok &= (np.abs(frac - 0.5) > _TIE_BAND) & (whole >= 1e14) & (n < 1e15)
+    return row, np.where(ok, n, 1e14).astype(np.int64), ok
 
+
+def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
+    """The bytes of ``"%.15g" % v[i]`` and then the byte ``seps[i]``, for each
+    cell of a 1-D float64 array ``v``; ``seps`` is a uint8 array of its size."""
+    powers, exps, forms, layouts, quads, zeros = _tables()
+    row, n, ok = _nearest(v, powers)
     src = np.empty((v.size, _ROW_BYTES), np.uint8)
     words = src.view(np.uint32)  # "0" and the 15 digits in 4 words, then the exponent
     words[:, _EXP_SIGN // 4] = exps.take(row)
@@ -131,7 +154,6 @@ def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
     # the key's significant digits count down from 15, a trailing zero at a time
     key = forms.take(row) + np.signbit(v) * (_FORMS * _SIG)
     trailing = np.ones(v.size, bool)
-    n = np.where(ok, n, 1e14).astype(np.int64)
     for col in (3, 2, 1):
         high = n // 10_000
         n -= high * 10_000
@@ -151,7 +173,8 @@ def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
             np.uint8).reshape(-1, _TEXT_BYTES)
     fresh = layouts[:, 0].take(key) < 0
     if fresh.any():
-        _fill_layouts(layouts, set(key[fresh].tolist()))
+        with _FILLING:
+            _fill_layouts(layouts, set(key[fresh].tolist()))
     index = layouts.take(key, axis=0)
     index += (np.arange(v.size) * _ROW_BYTES)[:, None]
     cells = src.ravel().take(index)

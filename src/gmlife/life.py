@@ -38,14 +38,16 @@ validated once, at the public API.
 
 The rates of one table share the arrays that do not depend on the rate,
 computed once per table in ``_life_tables``: the senescent part
-(beta/gamma) expm1(gamma x) of every D exponent; z, from e**(gamma x); and
-its split (:func:`gmlife.special._split`) between the continued fraction
-(z >= 1.1) and the series, the same at every shape -r <= 0, with ln z and
-e**z at the series' ages.  Per rate remain the discount term
--(alpha + rate) x and the exp of D's exponent, and the gamma product at the
-rate's shape.  One helper turns (D, a_bar, xi) into the columns for the
-scalar and the batch code alike.  :func:`life_table` is the one-rate case
-of the CLI's several-rate entry.
+(beta/gamma) expm1(gamma x) of every D exponent; e**(gamma x), which gives
+z and the force of mortality mu (bit for bit
+:func:`gmlife.mortality.mortality_rates`); and z's split
+(:func:`gmlife.special._split`) between the continued fraction (z >= 1.1)
+and the series, the same at every shape -r <= 0, with ln z and e**z at the
+series' ages.  Per rate remain the discount term -(alpha + rate) x and the
+exp of D's exponent, and the gamma product at the rate's shape.  One helper
+turns (D, a_bar, xi) into the columns for the scalar and the batch code
+alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
+entry.
 """
 
 from __future__ import annotations
@@ -217,28 +219,33 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     raises too, and the exception's ``lane`` attribute is the index in xs of
     an age at which :func:`commutation_row` raises the same type and text.
     """
-    return _life_tables(params, (delta,), xs)[0]
+    return _life_tables(params, (delta,), xs)[1][0]
 
 
 def _life_tables(params: GmParams, rates: tuple[float, ...],
-                 xs) -> list[dict[str, np.ndarray]]:
-    # [life_table(params, rate, xs) for rate in rates], with the rate-free terms
-    # computed once: the senescent part of every D exponent, the gamma argument z
-    # (0 at beta = 0, where no rate reads it) and its split.  Rates and ages are
-    # checked first; then, where some rate's table raises, this raises what the
-    # first such rate raises, with its lane
+                 xs) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    # mortality_rates(params, xs) and [life_table(params, rate, xs) for rate in
+    # rates], with the rate-free terms computed once: the senescent part of every D
+    # exponent, e**(gamma x), which gives mu and the gamma argument z (0 at beta = 0,
+    # where no rate reads it), and z's split.  Rates and ages are checked first;
+    # then, where some rate's table raises, this raises what the first such rate
+    # raises, with its lane
     for rate in rates:
         _check_args(rate)
     xs = _check_ages(xs)
     gam = params.gamma_exp
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
         senescent = _senescent_exponent_array(params, xs)
-        # exp overflows at exactly the ages where expm1 did, first: this raises what
-        # D, the first value at every rate, raises
-        z = (params.beta * _per_element(math.exp, gam * xs) / gam if params.beta
-             else np.zeros_like(xs))
+        if params.beta:
+            # exp overflows at exactly the ages where expm1 did, first: this raises
+            # what D, the first value at every rate, raises
+            scaled = params.beta * _per_element(math.exp, gam * xs)
+            mu = params.alpha + scaled
+            z = np.divide(scaled, gam, out=scaled)  # in place: one array fewer alive
+        else:
+            mu, z = np.full(xs.shape, params.alpha), np.zeros_like(xs)
         split = _split(z)
-        return [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), _columns(
+        return mu, [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), _columns(
             params, rate, _discounted_survival_array(params, rate, xs, senescent),
             *_evaluate_table(params, params.alpha + rate, z, split)))) for rate in rates]
 

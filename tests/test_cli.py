@@ -4,6 +4,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +31,13 @@ from gmlife import (
     remaining_life,
     survival,
 )
+from gmlife import formatting
 from gmlife.cli import main
 from gmlife.formatting import format_cells
 from gmlife.mortality import GmParams
 from gmlife.special import ConvergenceError
 
+BLOCK = gmlife.cli._EMIT_BLOCK
 REMARK_FLAGS = [
     "--alpha", "0.001", "--beta", "0.000012", "--gamma", "0.101314",
     "--delta", "0.026559",
@@ -115,6 +123,20 @@ def row_writer(cols):
     line = ",".join(["%.15g"] * len(cols)) + "\n"
     rows = zip(*(c.tolist() for c in cols.values()))
     return ",".join(cols) + "\n" + "".join(line % row for row in rows)
+
+
+def mixed_columns(n):
+    # n rows of CSV columns with every kind of cell the numpy digits leave to "%.15g"
+    rng = np.random.default_rng(11)
+    specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                -2.5e-310, 1 + 2**-15, 999999999999999.5]
+    cols = {"x": np.arange(n) * 0.01, "normal": rng.standard_normal(n),
+            "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 308, n),
+            "whole": np.floor(rng.uniform(0, 1e6, n)), "const": np.full(n, -0.25)}
+    for c in ("normal", "wide", "whole"):
+        picks = rng.choice(n, size=min(n, 3 * len(specials)), replace=False)
+        cols[c][picks] = (specials * 3)[:picks.size]
+    return cols
 
 
 def formatted(values):
@@ -247,20 +269,121 @@ class TestCsvEmitter:
         assert formatted(values) == percent_cells(values)
 
     def test_table_is_what_the_row_writer_writes(self):
-        # three blocks of rows, the last one partial, with every kind of cell the
-        # numpy digits leave to "%.15g"
-        n = 2 * gmlife.cli._EMIT_BLOCK + 37
-        rng = np.random.default_rng(11)
-        specials = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                    -2.5e-310, 1 + 2**-15, 999999999999999.5]
-        cols = {"x": np.arange(n) * 0.01, "normal": rng.standard_normal(n),
-                "wide": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320, 308, n),
-                "whole": np.floor(rng.uniform(0, 1e6, n)), "const": np.full(n, -0.25)}
-        for c in ("normal", "wide", "whole"):
-            cols[c][rng.choice(n, size=3 * len(specials), replace=False)] = specials * 3
+        # three blocks of rows, the last one partial
+        cols = mixed_columns(2 * gmlife.cli._EMIT_BLOCK + 37)
         out = io.StringIO()
         gmlife.cli._emit(cols, "csv", out)
         assert out.getvalue() == row_writer(cols)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+    def test_serial_and_threaded_emit_write_the_same_bytes(self, monkeypatch, cpus,
+                                                           rows):
+        # one helper thread formats blocks where there are two CPUs or more and two
+        # blocks or more, and none is started otherwise; either way the text is the
+        # row writer's
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        cols = mixed_columns(rows)
+        out = io.StringIO()
+        gmlife.cli._emit(cols, "csv", out)
+        assert out.getvalue() == row_writer(cols)
+        assert len(started) == (cpus > 1 and rows > BLOCK)
+        assert not any(t.is_alive() for t in started)
+
+    def test_formatter_tables_under_concurrent_first_use(self):
+        # two threads fill the lazily built power and layout rows at once, each
+        # formatting its own cells, a few at a time, over every exponent and many
+        # layout keys, with the interpreter switching threads as often as it can
+        rng = np.random.default_rng(3)
+        n = 4_000
+        digits = 10.0 ** rng.integers(0, 15, n)  # 1 to 15 significant digits
+        mantissas = np.floor(rng.uniform(1.0, 10.0, n) * digits) / digits
+        cells = rng.choice([-1.0, 1.0], n) * mantissas * 10.0 ** rng.integers(-320, 308, n)
+        halves = [cells[0::2], cells[1::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                formatting._tables.cache_clear()
+                formatting._tables()  # as the CSV emitter does before its helper starts
+                start = threading.Barrier(2)
+                texts = [None, None]
+
+                def work(k):
+                    start.wait(timeout=30)
+                    texts[k] = "".join(formatted(halves[k][i:i + 10])
+                                       for i in range(0, halves[k].size, 10))
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for half, text in zip(halves, texts):
+                    assert text == percent_cells(half.tolist())
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", [2, 1, 3, 6])
+    def test_a_failing_write_leaves_no_thread(self, monkeypatch, failing):
+        # the write of one block, the second by default, raises: the helper
+        # formatting blocks is stopped and joined before the error reaches the caller.
+        # Writes are slow, so the helper runs ahead and waits to hand a block over
+        class ClosedAfterSomeBlocks(io.StringIO):
+            blocks = 0
+
+            def write(self, text):
+                if text.startswith("x,"):  # the header
+                    return super().write(text)
+                time.sleep(0.02)
+                self.blocks += 1
+                if self.blocks == failing:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        def emit():
+            try:
+                gmlife.cli._emit(mixed_columns(8 * BLOCK), "csv", out)
+            except BrokenPipeError as exc:
+                raised.append(exc)
+
+        monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: 2)
+        out, raised = ClosedAfterSomeBlocks(), []
+        before = threading.active_count()
+        caller = threading.Thread(target=emit, daemon=True)  # a hang fails, below
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert len(raised) == 1 and out.blocks == failing
+        assert threading.active_count() == before
+
+    def test_a_closed_pipe_exits_1_quietly(self):
+        # `gmlife ... | head -c 100`: the reader goes away after 100 bytes of an
+        # 11,001-row table, and gmlife exits 1 with nothing on stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(gmlife.cli.__file__).parents[1]), env.get("PYTHONPATH"))
+            if p)
+        argv = [sys.executable, "-m", "gmlife.cli", *REMARK_FLAGS,
+                "--x-min", "0", "--x-max", "110", "--step", "0.01"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            try:
+                assert len(proc.stdout.read(100)) == 100
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (1, b"")
 
     def test_verify_table_is_what_the_row_writer_writes(self, capsys):
         grid = ["--x-min", "0", "--x-max", "100", "--step", "10", "--verify"]

@@ -163,8 +163,9 @@ def _table_or_error(fn, *args):
 @example((GmParams(0.0, 0.0, -1.0), DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
 @example((BASIS, DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
 def test_rates_share_one_grid(case):
-    # the CLI's rates (r, 0, 2r) from one grid are three life_table calls: the same
-    # columns bit for bit, or what the first rate that fails raises, with its lane
+    # the CLI's rates (r, 0, 2r) from one grid are three life_table calls and
+    # mortality_rates: the same columns bit for bit, or what the first rate that
+    # fails raises, with its lane
     params, rate, xs = case
     rates = (rate, 0.0, 2.0 * rate)
     with pytest.MonkeyPatch.context() as mp:
@@ -184,6 +185,8 @@ def test_rates_share_one_grid(case):
                                        rates[alone.index(want)], xs.tolist()[want.lane])
                 continue
             assert not isinstance(shared, Exception), shared
+            mu, shared = shared
+            assert_bits_equal(mu, mortality_rates(params, xs), f"mu, width {width}")
             for r, got, table in zip(rates, shared, alone, strict=True):
                 for name in COLUMNS:
                     assert_bits_equal(got[name], table[name],
@@ -271,7 +274,8 @@ def test_empty_ages_return_empty_columns():
     # with no senescence and no flat hazard every age fails, and an empty table
     # has none: it returns empty columns, as it does on any other basis
     params = GmParams(0.0, 0.0, 0.1)
-    for tables in ([life_table(params, 0.0, [])], life._life_tables(params, (0.03, 0.0), [])):
+    _, shared = life._life_tables(params, (0.03, 0.0), [])
+    for tables in ([life_table(params, 0.0, [])], shared):
         for table in tables:
             for name in COLUMNS:
                 assert table[name].shape == (0,), name
