@@ -33,12 +33,13 @@ NaN fails verification.
 
 Exit codes: 0 success, 1 standard output closed before the whole table was
 written (as by ``gmlife ... | head``; nothing is printed to stderr), 2 bad
-flags or invalid basis, 3 numerical failure at some age, 4 verification
-failure.  Exit 3 names the first age at which the scalar API raises, taking
-a row's calls in column order (rate delta, rate 0, twice the rate, then the
-oracles), and that call's error.  The columns find it on their own: a batch
-that fails names a lane, an age at which the scalar call raises the same,
-and the ages before it run again.
+flags or invalid basis (a non-finite ``--step`` or ``--verify-tol`` among
+them), 3 numerical failure at some age, 4 verification failure.  Exit 3
+names the first age at which the scalar API raises, taking a row's calls in
+column order (rate delta, rate 0, twice the rate, then the oracles), and
+that call's error.  The columns find it on their own: a batch that fails
+names a lane, an age at which the scalar call raises the same, and the ages
+before it run again.
 """
 
 from __future__ import annotations
@@ -125,16 +126,16 @@ def _validate(args) -> GmParams:
         raise _UsageError("need alpha + beta > 0 (otherwise e_x is infinite)")
     if not (0.0 <= args.x_min <= args.x_max):
         raise _UsageError("need 0 <= x-min <= x-max")
-    if not args.step > 0.0:
-        raise _UsageError("--step must be > 0")
+    if not 0.0 < args.step < math.inf:
+        raise _UsageError(f"--step must be finite and > 0, got {args.step}")
     if not math.isfinite((args.x_max - args.x_min) / args.step):
         raise _UsageError("need finite x-min, x-max and (x-max - x-min) / step")
     n_rows = _row_count(args.x_min, args.x_max, args.step)
     if n_rows > _MAX_ROWS:
         raise _UsageError(f"the age grid has {n_rows:.7g} rows; at most {_MAX_ROWS} "
                           "are allowed")
-    if args.verify and not args.verify_tol > 0.0:
-        raise _UsageError("--verify-tol must be > 0")
+    if args.verify and not 0.0 < args.verify_tol < math.inf:
+        raise _UsageError(f"--verify-tol must be finite and > 0, got {args.verify_tol}")
     if args.verify and args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.diagnostics and args.gamma <= 0.0:
@@ -160,9 +161,8 @@ def _quad_tol(closed_values, verify_tol: float):
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # |num| / |den|, with 0/0 = 0 and d/0 = inf for d != 0, and no numpy warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = np.abs(num) / np.abs(den)
+    # |num| / |den|, with 0/0 = 0 and d/0 = inf for d != 0
+    ratio = np.abs(num) / np.abs(den)
     ratio[num == 0.0] = 0.0
     return ratio
 
@@ -186,16 +186,21 @@ def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarra
 def _verify_columns(params: GmParams, args,
                     cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     # the oracle differences: a_bar and M against quadrature, relative, and the
-    # Monte-Carlo e_x in standard errors
+    # Monte-Carlo e_x in standard errors.  numpy warns of nothing here: on an
+    # extreme basis an oracle may overflow or form NaN, a difference from a value
+    # that is not finite is NaN and fails verification, and a quadrature that
+    # never converges fails at its evaluation budget
     xs, delta = cols["x"], args.delta
-    q_a = oracle.integrate_survival_table(params, delta, xs,
-                                          tol=_quad_tol(cols["a_bar"], args.verify_tol))
-    q_m = oracle.integrate_m_table(params, delta, xs, tol=_quad_tol(cols["M"], args.verify_tol))
-    est = oracle.mc_remaining_life_table(params, xs, _MC_SAMPLES,
-                                         np.random.default_rng(args.seed))
-    return dict(zip(_VERIFY_COLUMNS, (_ratio(cols["a_bar"] - q_a.value, q_a.value),
-                                      _ratio(cols["M"] - q_m.value, q_m.value),
-                                      _ratio(est.mean - cols["e_x"], est.std_error))))
+    with np.errstate(all="ignore"):
+        q_a = oracle.integrate_survival_table(
+            params, delta, xs, tol=_quad_tol(cols["a_bar"], args.verify_tol))
+        q_m = oracle.integrate_m_table(params, delta, xs,
+                                       tol=_quad_tol(cols["M"], args.verify_tol))
+        est = oracle.mc_remaining_life_table(params, xs, _MC_SAMPLES,
+                                             np.random.default_rng(args.seed))
+        return dict(zip(_VERIFY_COLUMNS, (_ratio(cols["a_bar"] - q_a.value, q_a.value),
+                                          _ratio(cols["M"] - q_m.value, q_m.value),
+                                          _ratio(est.mean - cols["e_x"], est.std_error))))
 
 
 def _compute_columns(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
@@ -302,7 +307,7 @@ def _write_blocks(block_text, n_blocks: int, out) -> None:
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
     fields = list(cols)
     if fmt == "csv":
-        from .formatting import _tables, format_cells  # JSON-only runs never compile it
+        from .formatting import format_cells  # JSON-only runs never build its tables
 
         out.write(",".join(fields) + "\n")
         seps = np.full(len(fields), ord(","), np.uint8)
@@ -316,7 +321,6 @@ def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
         n_blocks = -(-cols["x"].size // _EMIT_BLOCK)
         if n_blocks > 1 and _cpu_count() > 1:
             # format_cells releases the GIL in most of its numpy calls
-            _tables()  # built once, here, for both threads
             _write_blocks(block_text, n_blocks, out)
         else:
             for i in range(n_blocks):

@@ -17,20 +17,17 @@ Every other cell, and 0, -0, nan and inf, is ``"%.15g" % v`` itself.
 
 The digits of n, 4 at a time, the exponent and the constant bytes make a
 source row per cell.  A layout row per (sign, %g form, significant digits)
-picks the cell's bytes from it, and the pad bytes are dropped.  The tables
-are built on first use, a row of powers per exponent and a layout per key as
-they appear, so importing this module builds none of them.  Threads may call
-:func:`format_cells` at once: one at a time fills rows, under a lock, and a
-row's column 0, which every caller reads to tell whether the row is filled,
-is written last.
+picks the cell's bytes from it, and the pad bytes are dropped.  Importing
+this module builds every table whole, a row of powers per exponent and a
+layout per key, and makes each read-only: threads may call
+:func:`format_cells` at once, since nothing writes a table after import.
+:mod:`gmlife.cli` imports this module for CSV output only, so JSON runs and
+library calls build none of them.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import sys
-import threading
 
 import numpy as np
 
@@ -47,16 +44,54 @@ _ROW_BYTES = 28  # 7 uint32 words
 _FORMS = 21  # fixed at e = -4..14, then exponent with 2 or 3 digits
 _TEXT_BYTES = 22  # the longest text, e.g. -1.23456789012345e-100
 _FALLBACK_KEY = 2 * _FORMS * _SIG  # plus the text's length less one
-_FILLING = threading.Lock()  # held while rows of the tables are filled
 
 
-@functools.cache
-def _tables() -> tuple[np.ndarray, ...]:
-    # row e - _E_MIN of the first three: 10**(14-e) ~ hi + lo and hi's Veltkamp
-    # halves (NaN until _fill_powers fills it); e's 4 exponent bytes; the layout
-    # key of e's %g form at 15 significant digits.  Then the layouts by key
-    # (-1 until _fill_layouts fills one), and 0..9999 as one word of 4 ASCII
-    # digits and as its count of trailing zeros
+def _powers() -> np.ndarray:
+    # e's power row, column e - _E_MIN: 10**(14-e) ~ hi + lo and hi's Veltkamp halves
+    pairs = []
+    for e in range(_E_MIN, _E_MAX + 1):
+        k = _SIG - 1 - e
+        power = 10**abs(k)
+        if k >= 0:
+            hi = float(power)
+            pairs.append((hi, float(power - int(hi))))
+        else:  # int / int is correctly rounded
+            hi = 1 / power
+            num, den = hi.as_integer_ratio()
+            pairs.append((hi, (den - num * power) / (den * power)))
+    hi, lo = np.array(pairs).T
+    big = _SPLIT * hi
+    return np.stack([hi, lo, big - (big - hi), hi - (big - (big - hi))])
+
+
+def _layouts() -> np.ndarray:
+    # row key: the source-row columns of the key's text, its separator and pads.
+    # Key form * _SIG + s is s + 1 significant digits in %g form `form`, the same
+    # plus _FORMS * _SIG is its negative, and _FALLBACK_KEY - 1 + length is
+    # "%.15g" % v, written from column 0
+    texts = []
+    for form in range(_FORMS):
+        e = form - 4
+        for s in range(_SIG):
+            digits = list(range(1, s + 2))  # the significant digits are at columns 1..s+1
+            if e < 0:
+                texts.append([0, _DOT] + [0] * (-e - 1) + digits)
+            elif e < _SIG:
+                texts.append(list(range(1, e + 2)) + ([_DOT, *digits[e + 1:]] if s > e else []))
+            else:
+                texts.append([1] + ([_DOT, *digits[1:]] if s else []) + [
+                    _E, _EXP_SIGN, *range(_EXP_SIGN + 1 + (form == _FORMS - 2), _DOT)])
+    texts += [[_MINUS, *text] for text in texts]
+    texts += [list(range(length)) for length in range(1, _TEXT_BYTES + 1)]
+    rows = b"".join(bytes(text + [_SEP] + [_PAD] * (_TEXT_BYTES - len(text))) for text in texts)
+    return np.frombuffer(rows, np.uint8).reshape(-1, _TEXT_BYTES + 1).astype(np.intp)
+
+
+def _build_tables() -> tuple[np.ndarray, ...]:
+    # at e - _E_MIN of the first three: e's power row, its 4 exponent bytes and
+    # the layout key of its %g form at 15 significant digits.  Then the layouts by
+    # key, and 0..9999 as one word of 4 ASCII digits and as its count of trailing
+    # zeros.  All read-only
     exps = np.frombuffer(b"".join(b"%+04d" % e for e in range(_E_MIN, _E_MAX + 1)), np.uint32)
     e = np.arange(_E_MIN, _E_MAX + 1)
     forms = np.where((e >= -4) & (e < _SIG), e + 4, _FORMS - 2 + (np.abs(e) >= 100))
@@ -66,53 +101,17 @@ def _tables() -> tuple[np.ndarray, ...]:
     quads[..., 0] = pair_bytes[:, None]
     quads[..., 1] = pair_bytes
     zeros = (pair % 10 == 0) + (pair == 0).astype(np.intp)
-    return (np.full((4, e.size), np.nan), exps, forms * _SIG + _SIG - 1,
-            np.full((_FALLBACK_KEY + _TEXT_BYTES, _TEXT_BYTES + 1), -1, np.intp),
-            quads.view(np.uint32).ravel(), (zeros + (pair == 0) * zeros[:, None]).ravel())
+    tables = (_powers(), exps, forms * _SIG + _SIG - 1, _layouts(),
+              quads.view(np.uint32).ravel(), (zeros + (pair == 0) * zeros[:, None]).ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _fill_powers(powers: np.ndarray, rows) -> None:
-    for row in rows:
-        if not math.isnan(powers[0, row]):  # another thread filled it meanwhile
-            continue
-        k = _SIG - 1 - (row + _E_MIN)
-        if k >= 0:
-            hi = float(10**k)
-            lo = float(10**k - int(hi))
-        else:  # int / int is correctly rounded
-            hi = 1 / 10**-k
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * 10**-k) / (den * 10**-k)
-        big = _SPLIT * hi
-        powers[1:, row] = lo, big - (big - hi), hi - (big - (big - hi))
-        powers[0, row] = hi  # last: a reader that finds hi finds the whole row
+_POWERS, _EXPS, _FORM_KEYS, _LAYOUTS, _QUADS, _ZEROS = _build_tables()
 
 
-def _fill_layouts(layouts: np.ndarray, keys) -> None:
-    # a key's layout: the source-row columns of its text, separator and pads
-    for key in keys:
-        if layouts[key, 0] >= 0:  # another thread filled it meanwhile
-            continue
-        if key >= _FALLBACK_KEY:  # "%.15g" % v, written from column 0
-            text = list(range(key - _FALLBACK_KEY + 1))
-        else:
-            minus, form = divmod(key, _FORMS * _SIG)
-            form, s = divmod(form, _SIG)
-            digits = list(range(1, s + 2))  # the significant digits are at columns 1..s+1
-            e = form - 4
-            if e < 0:
-                text = [0, _DOT] + [0] * (-e - 1) + digits
-            elif e < _SIG:
-                text = list(range(1, e + 2)) + ([_DOT, *digits[e + 1:]] if s > e else [])
-            else:
-                text = [1] + ([_DOT, *digits[1:]] if s else []) + [
-                    _E, _EXP_SIGN, *range(_EXP_SIGN + 1 + (form == _FORMS - 2), _DOT)]
-            text = [_MINUS] * minus + text
-        layouts[key, 1:] = text[1:] + [_SEP] + [_PAD] * (_TEXT_BYTES - len(text))
-        layouts[key, 0] = text[0]  # last, as in _fill_powers
-
-
-def _nearest(v: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
+def _nearest(v: np.ndarray) -> tuple[np.ndarray, ...]:
     # each cell's power row e - _E_MIN, the integer n nearest |v| * 10**(14-e), and
     # whether n gives the cell's 15 digits (n is 1e14 where it does not).  Its float
     # temporaries are freed on return, before format_cells makes the bytes.  Kept
@@ -123,11 +122,7 @@ def _nearest(v: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
     ok = (a >= 1e-199) & (a < 1e199)
     a[~ok] = 1.0
     row = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp) - _E_MIN
-    fresh = np.isnan(powers[0].take(row))
-    if fresh.any():
-        with _FILLING:
-            _fill_powers(powers, set(row[fresh].tolist()))
-    hi, lo, hh, hl = powers.take(row, axis=1)
+    hi, lo, hh, hl = _POWERS.take(row, axis=1)
     p = a * hi
     big = _SPLIT * a
     ah = big - (big - a)
@@ -143,26 +138,25 @@ def _nearest(v: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, ...]:
 def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
     """The bytes of ``"%.15g" % v[i]`` and then the byte ``seps[i]``, for each
     cell of a 1-D float64 array ``v``; ``seps`` is a uint8 array of its size."""
-    powers, exps, forms, layouts, quads, zeros = _tables()
-    row, n, ok = _nearest(v, powers)
+    row, n, ok = _nearest(v)
     src = np.empty((v.size, _ROW_BYTES), np.uint8)
     words = src.view(np.uint32)  # "0" and the 15 digits in 4 words, then the exponent
-    words[:, _EXP_SIGN // 4] = exps.take(row)
+    words[:, _EXP_SIGN // 4] = _EXPS.take(row)
     words[:, _DOT // 4] = int.from_bytes(b".-e\0", sys.byteorder)
     words[:, _PAD // 4] = 0
     src[:, _SEP] = seps
     # the key's significant digits count down from 15, a trailing zero at a time
-    key = forms.take(row) + np.signbit(v) * (_FORMS * _SIG)
+    key = _FORM_KEYS.take(row) + np.signbit(v) * (_FORMS * _SIG)
     trailing = np.ones(v.size, bool)
     for col in (3, 2, 1):
         high = n // 10_000
         n -= high * 10_000
-        words[:, col] = quads.take(n)
-        key -= zeros.take(n) * trailing
+        words[:, col] = _QUADS.take(n)
+        key -= _ZEROS.take(n) * trailing
         trailing &= n == 0
         n = high
-    words[:, 0] = quads.take(n)
-    key -= zeros.take(n) * trailing
+    words[:, 0] = _QUADS.take(n)
+    key -= _ZEROS.take(n) * trailing
 
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -171,11 +165,7 @@ def format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
         src[bad, :_TEXT_BYTES] = np.frombuffer(
             "".join([t.ljust(_TEXT_BYTES, "\0") for t in text]).encode(),
             np.uint8).reshape(-1, _TEXT_BYTES)
-    fresh = layouts[:, 0].take(key) < 0
-    if fresh.any():
-        with _FILLING:
-            _fill_layouts(layouts, set(key[fresh].tolist()))
-    index = layouts.take(key, axis=0)
+    index = _LAYOUTS.take(key, axis=0)
     index += (np.arange(v.size) * _ROW_BYTES)[:, None]
     cells = src.ravel().take(index)
     return cells[cells != 0].tobytes()

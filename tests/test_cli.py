@@ -1,5 +1,6 @@
 """Tests for the command-line table generator."""
 
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gmlife.cli
@@ -77,6 +78,37 @@ SCALAR_API_CASES = [
     (GmParams(81.0, 0.01, 0.101314), 0.0,
      ["--x-min", "0", "--x-max", "8000", "--step", "1000"]),
 ]
+
+# argv whose grid or tolerance is not finite and which _validate must reject:
+# past it, the age grid holds 0 * inf and the quadrature tolerance inf * 0
+NON_FINITE_STEP_AND_TOL = [
+    REMARK_FLAGS + ["--x-min", "5", "--x-max", "5", "--step", "inf"],
+    REMARK_FLAGS + ["--x-min", "0", "--x-max", "1000", "--step", "100",
+                    "--verify", "--verify-tol", "inf"],
+]
+
+# each numeric flag of the traceback sweep takes one of these values
+EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-300, 1e-3, 0.1, 1.0, 110.0, 1e300, 1e308,
+                math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def edge_argv(draw):
+    # "--flag=value", since argparse takes a bare "-inf" for a flag
+    argv = [f"--{flag}={draw(st.sampled_from(EDGE_NUMBERS))!r}" for flag in
+            ("alpha", "beta", "gamma", "delta", "x-min", "x-max", "step", "verify-tol")]
+    argv.append(f"--seed={draw(st.sampled_from([0, 1, -1]))}")
+    return argv + [flag for flag in ("--double-rate", "--diagnostics", "--verify",
+                                     "--format=json") if draw(st.booleans())]
+
+
+def src_env():
+    # the environment of a python subprocess that imports this checkout's gmlife
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(gmlife.cli.__file__).parents[1]), env.get("PYTHONPATH"))
+        if p)
+    return env
 
 
 def scalar_api_argv(params, delta, grid):
@@ -299,9 +331,9 @@ class TestCsvEmitter:
         assert not any(t.is_alive() for t in started)
 
     def test_formatter_tables_under_concurrent_first_use(self):
-        # two threads fill the lazily built power and layout rows at once, each
-        # formatting its own cells, a few at a time, over every exponent and many
-        # layout keys, with the interpreter switching threads as often as it can
+        # two threads read the power and layout tables at once, each formatting
+        # its own cells, a few at a time, over every exponent and many layout
+        # keys, with the interpreter switching threads as often as it can
         rng = np.random.default_rng(3)
         n = 4_000
         digits = 10.0 ** rng.integers(0, 15, n)  # 1 to 15 significant digits
@@ -312,8 +344,6 @@ class TestCsvEmitter:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                formatting._tables.cache_clear()
-                formatting._tables()  # as the CSV emitter does before its helper starts
                 start = threading.Barrier(2)
                 texts = [None, None]
 
@@ -332,6 +362,35 @@ class TestCsvEmitter:
                     assert text == percent_cells(half.tolist())
         finally:
             sys.setswitchinterval(interval)
+
+    def test_benchmark_table_serial_and_threaded(self, monkeypatch):
+        # the benchmark's table, 11,001 rows of --double-rate --diagnostics on the
+        # worked basis: formatted serially on one CPU and on two threads with two,
+        # it is the row writer's text both ways
+        args = gmlife.cli._build_parser().parse_args(
+            REMARK_FLAGS + ["--x-min", "0", "--x-max", "110", "--step", "0.01",
+                            "--double-rate", "--diagnostics"])
+        xs = gmlife.cli._age_grid(args.x_min, args.x_max, args.step)
+        cols = gmlife.cli._compute_columns(gmlife.cli._validate(args), args, xs)
+        texts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: cpus)
+            out = io.StringIO()
+            gmlife.cli._emit(cols, "csv", out)
+            texts.append(out.getvalue())
+        assert len(cols["x"]) == 11_001
+        assert texts[0] == texts[1] == row_writer(cols)
+
+    def test_formatter_tables_are_built_for_csv_only_and_read_only(self):
+        # importing gmlife and its CLI builds no formatter table; importing the
+        # formatter builds every one, and nothing can write them after
+        probe = "import sys, gmlife, gmlife.cli; print('gmlife.formatting' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=src_env(), timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+        tables = [v for v in vars(formatting).values() if isinstance(v, np.ndarray)]
+        assert len(tables) == 6
+        assert not any(table.flags.writeable for table in tables)
 
     @pytest.mark.parametrize("failing", [2, 1, 3, 6])
     def test_a_failing_write_leaves_no_thread(self, monkeypatch, failing):
@@ -369,14 +428,10 @@ class TestCsvEmitter:
     def test_a_closed_pipe_exits_1_quietly(self):
         # `gmlife ... | head -c 100`: the reader goes away after 100 bytes of an
         # 11,001-row table, and gmlife exits 1 with nothing on stderr
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(gmlife.cli.__file__).parents[1]), env.get("PYTHONPATH"))
-            if p)
         argv = [sys.executable, "-m", "gmlife.cli", *REMARK_FLAGS,
                 "--x-min", "0", "--x-max", "110", "--step", "0.01"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as proc:
+                              env=src_env()) as proc:
             try:
                 assert len(proc.stdout.read(100)) == 100
                 proc.stdout.close()
@@ -671,6 +726,7 @@ class TestExitCodes:
              "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "inf", "--step", "1"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1e-300"],
+            *NON_FINITE_STEP_AND_TOL,
             # finite, but ~1e300 rows
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1"],
         ]
@@ -680,6 +736,32 @@ class TestExitCodes:
             assert code == 2, argv
             assert err.strip(), argv
         assert "1e+300 rows; at most 1000000" in err
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(edge_argv())
+    @example(NON_FINITE_STEP_AND_TOL[0])
+    @example(NON_FINITE_STEP_AND_TOL[1])
+    def test_no_argv_ends_in_a_traceback(self, argv):
+        # every flag at an edge value: gmlife exits with a code it documents and
+        # says nothing on stderr, or one line, never a traceback.  A numpy warning,
+        # which the CLI would print as more stderr lines, raises here, since the
+        # suite turns warnings into errors
+        args = gmlife.cli._build_parser().parse_args(argv)
+        try:
+            rows = gmlife.cli._row_count(args.x_min, args.x_max, args.step)
+        except (ValueError, OverflowError, ZeroDivisionError):  # _validate rejects it
+            rows = 0
+        assume(rows <= 200)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code == 0:
+            assert err == "", argv
+        else:
+            assert err.startswith("gmlife: ") and err.count("\n") == 1, (argv, err)
+            assert err.endswith("\n"), (argv, err)
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
         for argv, message in EXIT_3_CASES:
