@@ -21,10 +21,10 @@ the whole age grid, every rate from one set of rate-free per-age terms (as
 rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
 numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row.
 Where the process may run on more than one CPU and the table has more than
-one CSV block, the blocks are formatted on two threads, since numpy releases
-the GIL in most of the formatter's work; the main thread writes them in
-order, the output is the same bytes, and at most one finished block from
-each thread waits to be written.  ``--verify`` adds one lane-batched
+one CSV block, the blocks are formatted on a pool of two threads, since numpy
+releases the GIL in most of the formatter's work; the main thread submits
+them in order, with at most three in flight, and writes each in turn, so the
+output is the same bytes.  ``--verify`` adds one lane-batched
 quadrature per integral over the grid and one Monte-Carlo table, whose ages
 share one seeded draw: a row's ``e_x_mc_dev`` depends only on its age and
 ``--seed``, not on where the row sits in the grid.  A relative difference is
@@ -50,7 +50,7 @@ import json
 import math
 import os
 import sys
-import threading
+from collections import deque
 
 import numpy as np
 
@@ -65,10 +65,14 @@ _MC_SAMPLES = 20_000
 # At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
 # emitted, and computing them peaks at ~302 MB RSS (~274 MB plain), the age grid
 # shared by the rates (~38 B a row, freed once the columns are done) and mu, made
-# from the grid, included.  Emitting on two threads keeps a second block in
-# flight, ~4 MB of formatter arrays and text, whatever the row count
+# from the grid, included.  Emitting on two threads keeps up to _EMIT_WINDOW
+# blocks in flight, a formatter peak of ~8 MB (~4 MB serially) whatever the row
+# count
 _MAX_ROWS = 1_000_000
-_EMIT_BLOCK = 1024  # rows formatted per write: only one block's text is alive
+_EMIT_BLOCK = 1024  # rows formatted per write
+# blocks in flight on the emit pool: with 2 the table's emit took ~15% longer, and 4
+# was no faster than 3
+_EMIT_WINDOW = 3
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 _VERIFY_COLUMNS = _DIFF_COLUMNS + ("e_x_mc_dev",)
 
@@ -186,10 +190,10 @@ def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarra
 def _verify_columns(params: GmParams, args,
                     cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     # the oracle differences: a_bar and M against quadrature, relative, and the
-    # Monte-Carlo e_x in standard errors.  numpy warns of nothing here: on an
-    # extreme basis an oracle may overflow or form NaN, a difference from a value
-    # that is not finite is NaN and fails verification, and a quadrature that
-    # never converges fails at its evaluation budget
+    # Monte-Carlo e_x in standard errors.  numpy warns of nothing here: a
+    # difference from an oracle value of 0 is inf, one that is NaN fails
+    # verification, and an oracle that cannot form a finite value, or a quadrature
+    # that never converges, raises at its lane
     xs, delta = cols["x"], args.delta
     with np.errstate(all="ignore"):
         q_a = oracle.integrate_survival_table(
@@ -255,53 +259,22 @@ def _cpu_count() -> int:
 
 def _write_blocks(block_text, n_blocks: int, out) -> None:
     # out.write(block_text(i)) for i in range(n_blocks), in order, with the texts
-    # made by this thread and one helper, each taking the next block nobody has
-    # taken.  Only this thread writes.  The helper hands over one finished block at
-    # a time, and this thread makes a block only while it holds none unwritten, so
-    # at most one finished block from each thread waits.  The helper is stopped and
-    # joined before this returns or raises
-    import queue  # serial runs never import it
+    # made on two pool threads and at most _EMIT_WINDOW blocks in flight.  Only this
+    # thread writes.  If a block or a write raises, the blocks not yet started are
+    # dropped and the pool is joined before the error reaches the caller
+    from concurrent.futures import ThreadPoolExecutor  # serial runs never import it
 
-    lock = threading.Lock()
-    untaken = iter(range(n_blocks))
-    done = queue.Queue(maxsize=1)
-    stop = threading.Event()
-
-    def take() -> int:
-        with lock:
-            return next(untaken, n_blocks)
-
-    def helper() -> None:
-        try:
-            while not stop.is_set() and (i := take()) < n_blocks:
-                done.put((i, block_text(i)))
-        except BaseException as exc:  # raised by the writing thread
-            done.put((None, exc))
-
-    thread = threading.Thread(target=helper, name="gmlife-emit", daemon=True)
-    thread.start()
+    pending = deque()
+    pool = ThreadPoolExecutor(2, thread_name_prefix="gmlife-emit")
     try:
-        ready = {}
         for i in range(n_blocks):
-            while i not in ready:
-                # this thread's own unwritten block, or none left to take, means
-                # that block i is the helper's
-                j = n_blocks if ready else take()
-                if j == n_blocks:
-                    j, text = done.get()
-                    if j is None:
-                        raise text
-                else:
-                    text = block_text(j)
-                ready[j] = text
-            out.write(ready.pop(i))
+            pending.append(pool.submit(block_text, i))
+            if len(pending) == _EMIT_WINDOW:
+                out.write(pending.popleft().result())
+        for future in pending:
+            out.write(future.result())
     finally:
-        stop.set()
-        try:
-            done.get_nowait()  # frees the one put the helper may still make
-        except queue.Empty:
-            pass
-        thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:

@@ -12,11 +12,12 @@ Two deliberately simple routes that never touch the gamma-function code:
 The quadrature is composite 15-point Gauss-Legendre on equal panels,
 doubling the panel count until two successive sums agree within the
 tolerance, or within 4 ulps of the sum where the tolerance is finer than
-that rounding noise.  The upper limit is the power of two at which the
-integrand first falls below 1e-16 of its value at t = 0 (found by
-doubling or halving from 1), so a fast decay is resolved like a slow one.  Every
-panel is refined at once, so no region can be declared converged on too
-few samples, as adaptive Simpson can be (Lyness, J. ACM 16:483, 1969).
+that rounding noise; a sum that is not finite fails at once.  The upper
+limit is the power of two at which the integrand first falls below 1e-16
+of its value at t = 0 (found by doubling or halving from 1), so a fast
+decay is resolved like a slow one.  Every panel is refined at once, so
+no region can be declared converged on too few samples, as adaptive
+Simpson can be (Lyness, J. ACM 16:483, 1969).
 Plain and auditable on purpose: an oracle has to be simpler than the
 code it checks.
 
@@ -103,10 +104,11 @@ def _gauss_legendre(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # (value, abs_err, evaluations) per lane.  The lanes run in blocks of ages, in
     # order, so a lane that fails stops the table once its own block has run.
     # expm1(gamma t) may overflow to inf in the tail of either integrand, whose
-    # log-ratio is then -inf and the integrand 0
+    # log-ratio is then -inf and the integrand 0 (or NaN, from 0 * inf or -inf + inf,
+    # which fails the lane if a level meets it)
     if not tol.size:
         return np.empty(0), np.empty(0), np.empty(0, int)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         blocks = [_on_lanes(range(start, tol.size), _gauss_legendre_block,
                             lambda t, rows, start=start: f(t, start + rows),
                             tol[start:start + _BLOCK_LANES])
@@ -149,6 +151,12 @@ def _gauss_legendre_block(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         step = max(1, _CHUNK_NODES // (panels * _NODES.size))
         chunks = [rows[i:i + step] for i in range(0, rows.size, step)]
         level = np.concatenate([_level(f, upper[c], c, panels) for c in chunks])
+        # a level that is not finite holds an integrand value that is not finite,
+        # which the tolerance test cannot judge (inf - inf is NaN): the lane fails
+        bad = ~np.isfinite(level)
+        if bad.any():
+            raise _at_lane(ConvergenceError("integrand is not finite; check the basis"),
+                           rows[bad.argmax()])
         evaluations[rows] += panels * _NODES.size
         change = np.abs(level - previous[rows])
         # a tolerance finer than the sums' rounding noise could never be met
@@ -351,6 +359,9 @@ def mc_remaining_life(
                       n_samples=n)
 
 
+# on a steep basis the draws in units of 1/gamma, or their sum, may overflow: the
+# first lane whose mean or standard error is not finite fails
+@np.errstate(over="ignore", invalid="ignore")
 def mc_remaining_life_table(
     params: GmParams, xs, n: int, rng: np.random.Generator
 ) -> McEstimate:
@@ -363,8 +374,10 @@ def mc_remaining_life_table(
     of the sampling runs once per table; each age then only scales, inverts
     and averages its senescent draws, in one scratch row and in units of
     1/gamma where beta > 0 (see the module docstring).  Where an aged
-    basis is not representable, raises with a ``lane`` attribute: the index
-    of the first such age, at which the scalar call raises the same.
+    basis is not representable, or an age's mean or standard error is not
+    finite (the draws overflow on a steep basis), raises with a ``lane``
+    attribute: the index of the first such age, at which the scalar call
+    raises the same.
     """
     xs = _check_ages(xs)
     if params.alpha + params.beta <= 0.0:
@@ -398,4 +411,7 @@ def mc_remaining_life_table(
         deviations = np.subtract(draws, centre, out=scratch)
         var = np.einsum("i,i->", deviations, deviations) / (n - 1)
         mean[i], std_error[i] = centre / unit, math.sqrt(var) / math.sqrt(n) / unit
+        if not (math.isfinite(mean[i]) and math.isfinite(std_error[i])):
+            raise _at_lane(OverflowError("Monte-Carlo mean or standard error "
+                                         "is not finite"), i)
     return McEstimate(mean=mean, std_error=std_error, n_samples=n)

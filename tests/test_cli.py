@@ -171,6 +171,28 @@ def mixed_columns(n):
     return cols
 
 
+def emit_on_two_cpus(monkeypatch, cols, out, error):
+    # cli._emit(cols, "csv", out) as where two CPUs are free, on a thread of its
+    # own so that a hang fails; returns what it raised of type error, once every
+    # thread it started has gone
+    raised = []
+
+    def emit():
+        try:
+            gmlife.cli._emit(cols, "csv", out)
+        except error as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: 2)
+    before = threading.active_count()
+    caller = threading.Thread(target=emit, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert threading.active_count() == before
+    return raised
+
+
 def formatted(values):
     # the cell formatter over values, each cell followed by "," or "\n" in turn
     v = np.asarray(values, dtype=np.float64)
@@ -311,9 +333,9 @@ class TestCsvEmitter:
     @pytest.mark.parametrize("rows", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
     def test_serial_and_threaded_emit_write_the_same_bytes(self, monkeypatch, cpus,
                                                            rows):
-        # one helper thread formats blocks where there are two CPUs or more and two
-        # blocks or more, and none is started otherwise; either way the text is the
-        # row writer's
+        # a pool of at most two threads formats blocks where there are two CPUs or
+        # more and two blocks or more, and no thread is started otherwise; either
+        # way the text is the row writer's, and every thread is joined
         started = []
 
         class Thread(threading.Thread):
@@ -327,7 +349,8 @@ class TestCsvEmitter:
         out = io.StringIO()
         gmlife.cli._emit(cols, "csv", out)
         assert out.getvalue() == row_writer(cols)
-        assert len(started) == (cpus > 1 and rows > BLOCK)
+        assert bool(started) == (cpus > 1 and rows > BLOCK)
+        assert len(started) <= 2
         assert not any(t.is_alive() for t in started)
 
     def test_formatter_tables_under_concurrent_first_use(self):
@@ -394,9 +417,9 @@ class TestCsvEmitter:
 
     @pytest.mark.parametrize("failing", [2, 1, 3, 6])
     def test_a_failing_write_leaves_no_thread(self, monkeypatch, failing):
-        # the write of one block, the second by default, raises: the helper
-        # formatting blocks is stopped and joined before the error reaches the caller.
-        # Writes are slow, so the helper runs ahead and waits to hand a block over
+        # the write of one block, the second by default, raises: the pool threads
+        # formatting blocks are joined before the error reaches the caller.
+        # Writes are slow, so the pool runs ahead and its window fills
         class ClosedAfterSomeBlocks(io.StringIO):
             blocks = 0
 
@@ -409,21 +432,29 @@ class TestCsvEmitter:
                     raise BrokenPipeError(32, "Broken pipe")
                 return super().write(text)
 
-        def emit():
-            try:
-                gmlife.cli._emit(mixed_columns(8 * BLOCK), "csv", out)
-            except BrokenPipeError as exc:
-                raised.append(exc)
-
-        monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: 2)
-        out, raised = ClosedAfterSomeBlocks(), []
-        before = threading.active_count()
-        caller = threading.Thread(target=emit, daemon=True)  # a hang fails, below
-        caller.start()
-        caller.join(timeout=30)
-        assert not caller.is_alive()
+        out = ClosedAfterSomeBlocks()
+        raised = emit_on_two_cpus(monkeypatch, mixed_columns(8 * BLOCK), out,
+                                  BrokenPipeError)
         assert len(raised) == 1 and out.blocks == failing
-        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_a_failing_block_leaves_no_thread(self, monkeypatch, failing):
+        # formatting one block raises on a pool thread: the error reaches the
+        # caller once the pool is joined, and the blocks before it are written
+        cols = mixed_columns(8 * BLOCK)
+        real = formatting.format_cells
+
+        def format_cells(cells, seps):
+            if cells[0] == cols["x"][failing * BLOCK]:  # the block's first age
+                raise ArithmeticError(f"block {failing}")
+            return real(cells, seps)
+
+        monkeypatch.setattr(formatting, "format_cells", format_cells)
+        out = io.StringIO()
+        raised = emit_on_two_cpus(monkeypatch, cols, out, ArithmeticError)
+        assert [str(exc) for exc in raised] == [f"block {failing}"]
+        assert out.getvalue() == row_writer({k: c[:failing * BLOCK]
+                                             for k, c in cols.items()})
 
     def test_a_closed_pipe_exits_1_quietly(self):
         # `gmlife ... | head -c 100`: the reader goes away after 100 bytes of an

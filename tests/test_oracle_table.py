@@ -250,6 +250,40 @@ def test_one_lane_over_a_small_budget_fails_the_table(monkeypatch):
         assert exc.value.lane == 1
 
 
+def test_an_integrand_that_is_not_finite_fails_its_lane():
+    # beta e**(gamma x) / gamma underflows to 0 at age 0, not at 40, and 0 times
+    # the overflowed expm1(gamma t) is NaN from t = 71 on, inside the bracket: the
+    # lane fails at its first level, not at the evaluation budget
+    params = GmParams(0.01, 5e-324, 10.0)
+    for table_fn, scalar_fn in PAIRS:
+        with pytest.raises(ConvergenceError, match="integrand is not finite") as exc:
+            table_fn(params, 0.0, [40.0, 0.0])
+        assert exc.value.lane == 1
+        with pytest.raises(ConvergenceError, match="integrand is not finite"):
+            scalar_fn(params, 0.0, 0.0)
+    # with gamma 1e308 the bracket's tests past t = 1 form -inf + inf, which warns
+    # of nothing; this lane's levels are finite, and it fails on its budget
+    with pytest.raises(ConvergenceError, match="budget"):
+        integrate_m(GmParams(0.0, 1e-3, 1e308), 0.0, 0.0)
+
+
+def test_mc_fails_where_the_draws_overflow():
+    # in units of 1/gamma the draws, or their sum, overflow on a steep basis: at
+    # (110, 0.1, 1e308) e_0 is 7.1e-306, and at beta 5e-324 gamma / beta is inf at
+    # age 0 but not at 40.  The table fails at the first such lane, as its scalar
+    # call does
+    text = "Monte-Carlo mean or standard error is not finite"
+    for params, xs, lane in ((GmParams(110.0, 0.1, 1e308), [0.0], 0),
+                             (GmParams(0.0, 5e-324, 1.0), [40.0, 0.0, 40.0], 1)):
+        with pytest.raises(OverflowError, match=text) as exc:
+            mc_remaining_life_table(params, xs, 20_000, np.random.default_rng(0))
+        assert exc.value.lane == lane
+        with pytest.raises(OverflowError, match=text):
+            mc_remaining_life(params, xs[lane], 20_000, np.random.default_rng(0))
+        assert math.isfinite(mc_remaining_life_table(
+            params, xs[:lane], 20_000, np.random.default_rng(0)).mean.sum())
+
+
 def test_table_rejects_what_the_scalar_call_rejects():
     for table_fn, _ in PAIRS:
         for bad in ([0.0, -1.0], [0.0, math.nan], [[0.0, 1.0]]):
