@@ -57,8 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import (GmParams, _check_age, _check_ages, _discounted_survival,
-                        _discounted_survival_array, _senescent_exponent_array)
+from .mortality import (GmParams, _check_age, _check_ages, _check_args,
+                        _discounted_survival, _discounted_survival_array,
+                        _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
 from .special import (_on_lanes, _per_element, _ratio_pair_array, _split,
                       exp_scaled_upper_inc_gamma)
@@ -86,12 +87,6 @@ class CommutationRow:
     d_val: float
     n_val: float
     m_val: float
-
-
-def _check_args(delta: float, x: float = 0.0) -> None:
-    if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
-        raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
-    _check_age(x)
 
 
 def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:

@@ -37,9 +37,7 @@ class GmParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma_exp"):
-            v = getattr(self, name)
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            _check_finite(name, getattr(self, name))
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if self.beta < 0.0:
@@ -48,6 +46,11 @@ class GmParams:
             raise ValueError(
                 f"gamma_exp must be > 0 when beta > 0, got {self.gamma_exp!r}"
             )
+
+
+def _check_finite(name: str, v: float) -> None:
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def _check_age(x: float) -> None:
@@ -60,6 +63,12 @@ def _check_ages(xs) -> np.ndarray:
     if xs.ndim != 1 or not np.all((xs >= 0.0) & (xs < math.inf)):
         raise ValueError("ages must be a 1-D array of finite values >= 0")
     return xs
+
+
+def _check_args(delta: float, x: float = 0.0) -> None:
+    if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
+        raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
+    _check_age(x)
 
 
 def _ln_discounted_survival(params: GmParams, rate: float, x: float) -> float:

@@ -44,7 +44,8 @@ for one scalar call.  Where beta > 0 the lifetimes are held in units of
 1/gamma, so no age divides its draws by gamma: the mean and standard error
 go back to years as two scalars.  They are within 1.5e-15 relative (7
 ulps) of the textbook mean and std(ddof=1) of the same draws in years, over
-4 bases, 20 seeds, 5 ages and 3 sample sizes.
+4 bases, 20 seeds, 5 ages and 3 sample sizes.  Where a draw, or an age's mean
+or standard error, is not finite (a steep basis), the sampler raises.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import GmParams, _check_age, _check_ages
+from .mortality import GmParams, _check_age, _check_ages, _check_args, _check_finite
 from .special import ConvergenceError, _at_lane, _on_lanes, _per_element
 
 __all__ = [
@@ -289,8 +290,7 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
 def _check_inputs(params: GmParams, delta: float, xs, tol) -> tuple[np.ndarray, np.ndarray]:
     # the ages, and one tolerance per age
     xs = _check_ages(xs)
-    if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
-        raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
+    _check_args(delta)
     if params.alpha + params.beta + delta <= 0.0:
         raise ValueError("need alpha + beta + delta > 0 for a convergent integral")
     tol = np.full(xs.shape, tol, dtype=float)
@@ -329,17 +329,29 @@ def _lifetimes(flat: np.ndarray, log_v: np.ndarray, beta: float, gam: float,
     return np.minimum(flat, out, out=out)
 
 
+def _check_sampleable(params: GmParams) -> None:
+    if params.alpha + params.beta <= 0.0:
+        raise ValueError("need alpha + beta > 0 to sample a finite lifetime")
+
+
 def _sample_lifetimes(params: GmParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    # n lifetimes of the basis in years, in the second row of the one buffer drawn
-    flat, log_v = _age_free_draws(params, n, rng)
-    draws = _lifetimes(flat, log_v, params.beta, params.gamma_exp, out=log_v)
-    return np.divide(draws, params.gamma_exp, out=draws) if params.beta > 0.0 else draws
+    # n lifetimes of the basis in years, in the second row of the one buffer drawn;
+    # raises where one overflows (a steep basis) or is inf * -0.0 = NaN (at v = 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat, log_v = _age_free_draws(params, n, rng)
+        draws = _lifetimes(flat, log_v, params.beta, params.gamma_exp, out=log_v)
+        if params.beta > 0.0:
+            np.divide(draws, params.gamma_exp, out=draws)
+    if not np.isfinite(draws).all():
+        raise OverflowError("sampled lifetime is not finite; check the basis")
+    return draws
 
 
 def sample_lifetime(params: GmParams, rng: np.random.Generator) -> float:
-    """One lifetime drawn from the Gompertz-Makeham law; needs alpha + beta > 0."""
-    if params.alpha + params.beta <= 0.0:
-        raise ValueError("need alpha + beta > 0 to sample a finite lifetime")
+    """One lifetime drawn from the Gompertz-Makeham law; needs alpha + beta > 0.
+
+    Raises OverflowError where the draw is not finite, as on a steep basis."""
+    _check_sampleable(params)
     return float(_sample_lifetimes(params, 1, rng)[0])
 
 
@@ -380,8 +392,7 @@ def mc_remaining_life_table(
     raises the same.
     """
     xs = _check_ages(xs)
-    if params.alpha + params.beta <= 0.0:
-        raise ValueError("need alpha + beta > 0 to sample a finite lifetime")
+    _check_sampleable(params)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a usable estimate, got {n}")
     flat, log_v = _age_free_draws(params, n, rng)
@@ -390,19 +401,14 @@ def mc_remaining_life_table(
     mean, std_error = np.empty(xs.size), np.empty(xs.size)
     unit = params.gamma_exp if params.beta > 0.0 else 1.0  # a draw d is d / unit years
     for i, x in enumerate(xs.tolist()):
-        try:
-            if params.beta > 0.0:
-                # the basis aged to x, whose lifetimes are the remaining lifetimes at x
-                shifted = GmParams(
-                    params.alpha,
-                    params.beta * math.exp(params.gamma_exp * x),
-                    params.gamma_exp,
-                )
-            else:
-                shifted = params
-        except (OverflowError, ValueError) as exc:  # e**(gamma x) or the aged beta is inf
-            raise _at_lane(exc, i)
-        draws = _lifetimes(flat, log_v, shifted.beta, shifted.gamma_exp, out=scratch)
+        beta = params.beta  # aged to x, the one field of the basis that changes
+        if beta > 0.0:
+            try:  # the aged basis' lifetimes are the remaining lifetimes at x
+                beta *= math.exp(params.gamma_exp * x)
+                _check_finite("beta", beta)
+            except (OverflowError, ValueError) as exc:  # e**(gamma x) or beta is inf
+                raise _at_lane(exc, i)
+        draws = _lifetimes(flat, log_v, beta, params.gamma_exp, out=scratch)
         # draws.mean() and draws.std(ddof=1), with the deviations formed in place
         # and taken from units of 1/gamma to years as two scalars.  The sum of
         # squares is one einsum pass: np.dot would call a BLAS whose threads

@@ -378,6 +378,11 @@ def _ratio_pair_array(eta: float, z: np.ndarray,
     return f, g
 
 
+def _check_finite_args(eta: float, z: float) -> None:
+    if not (math.isfinite(eta) and math.isfinite(z)):
+        raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
+
+
 def upper_inc_gamma_general(eta: float, z: float) -> float:
     """Upper incomplete gamma Gamma(eta, z) for any real shape.
 
@@ -386,8 +391,7 @@ def upper_inc_gamma_general(eta: float, z: float) -> float:
     eta > 0 gives the complete gamma function.  The routes are those of
     :func:`exp_scaled_upper_inc_gamma`, with e**-z folded into the power of z.
     """
-    if math.isnan(eta) or math.isinf(eta) or math.isnan(z) or math.isinf(z):
-        raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
+    _check_finite_args(eta, z)
     if z < 0.0:
         raise ValueError(f"argument must be >= 0, got {z!r}")
     if z == 0.0:
@@ -411,8 +415,7 @@ def exp_scaled_upper_inc_gamma(eta: float, z: float, *, pair: bool = False):
     form in which :mod:`gmlife.life` reads an annuity and its ageing factor;
     for eta < 1/2 no power of z is formed, so it stays finite where z**eta is not.
     """
-    if math.isnan(eta) or math.isinf(eta) or math.isnan(z) or math.isinf(z):
-        raise ValueError(f"shape and argument must be finite, got ({eta!r}, {z!r})")
+    _check_finite_args(eta, z)
     if z <= 0.0:
         raise ValueError(f"argument must be > 0, got {z!r}")
     if eta >= 0.5 and z < eta + 1.0:

@@ -192,6 +192,15 @@ class TestSampleLifetime:
 
         draws = _sample_lifetimes(GmParams(0.001, 1e-5, 0.1), 3, Boundary())
         assert np.all(draws == 0.0)
+        # with gamma / beta = inf the Gompertz draw at v = 0 is inf * -0.0 = NaN
+        with pytest.raises(OverflowError, match="^sampled lifetime is not finite"):
+            _sample_lifetimes(GmParams(0.001, 1e-300, 1e10), 3, Boundary())
+
+    def test_raises_where_the_draw_overflows(self):
+        # the flat draw times gamma and gamma / beta overflow, where e_0 = 7.1e-8;
+        # the warnings are errors here, so none may escape either
+        with pytest.raises(OverflowError, match="^sampled lifetime is not finite"):
+            sample_lifetime(GmParams(1e-300, 1e-300, 1e10), np.random.default_rng(0))
 
     def test_exponential_component_alone(self):
         p = GmParams(0.02, 0.0, 0.1)
