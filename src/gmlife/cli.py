@@ -18,13 +18,15 @@ errors (informational; seed set with ``--seed``).
 A table is computed as columns, one evaluation per rate per table over
 the whole age grid, every rate from one set of rate-free per-age terms (as
 :func:`gmlife.life.life_table` does for one rate), and written a block of
-rows at a time: CSV by :func:`gmlife.formatting.format_cells`, in
-numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row.
+rows at a time by one loop: CSV by :func:`gmlife.formatting.format_cells`, in
+numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row,
+filled with the tokens ``json.dumps`` writes for the block's cells.
 Where the process may run on more than one CPU and the table has more than
 one CSV block, the blocks are formatted on a pool of two threads, since numpy
 releases the GIL in most of the formatter's work; the main thread submits
 them in order, with at most three in flight, and writes each in turn, so the
-output is the same bytes.  ``--verify`` adds one lane-batched
+output is the same bytes.  JSON blocks, Python string work, stay serial.
+``--verify`` adds one lane-batched
 quadrature per integral over the grid and one Monte-Carlo table, whose ages
 share one seeded draw: a row's ``e_x_mc_dev`` depends only on its age and
 ``--seed``, not on where the row sits in the grid.  A relative difference is
@@ -33,8 +35,10 @@ NaN fails verification.
 
 Exit codes: 0 success, 1 standard output closed before the whole table was
 written (as by ``gmlife ... | head``; nothing is printed to stderr), 2 bad
-flags or invalid basis (a non-finite ``--step`` or ``--verify-tol`` among
-them), 3 numerical failure at some age, 4 verification failure.  Exit 3
+flags or invalid basis (a non-finite ``--step`` or ``--verify-tol``, or a rate
+of the table whose sum with alpha is not finite, among them), 3 numerical
+failure at some age (a D, N, M, a_bar or e_x that would overflow among
+them), 4 verification failure.  Exit 3
 names the first age at which the scalar API raises, taking a row's calls in
 column order (rate delta, rate 0, twice the rate, then the oracles), and
 that call's error.  The columns find it on their own: a batch that fails
@@ -56,7 +60,7 @@ import numpy as np
 
 from . import life, oracle
 from .life import _life_tables  # by name: perfbench/tracing.py swaps cli.life for __all__
-from .mortality import GmParams, mortality_rate, survival
+from .mortality import GmParams, _check_args, mortality_rate, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
@@ -120,12 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args) -> GmParams:
     try:
         params = GmParams(args.alpha, args.beta, args.gamma)
+        # the library's check of each rate of the table
+        for rate in (args.delta,) + ((2.0 * args.delta,) if args.double_rate else ()):
+            _check_args(params, rate)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    if math.isnan(args.delta) or math.isinf(args.delta) or args.delta < 0.0:
-        raise _UsageError(f"--delta must be finite and >= 0, got {args.delta}")
-    if args.double_rate and math.isinf(2.0 * args.delta):
-        raise _UsageError(f"--double-rate needs 2 * delta finite, got {args.delta}")
     if args.alpha + args.beta <= 0.0:
         raise _UsageError("need alpha + beta > 0 (otherwise e_x is infinite)")
     if not (0.0 <= args.x_min <= args.x_max):
@@ -241,15 +244,6 @@ def _verify_failure(cols: dict[str, np.ndarray], tol: float) -> str | None:
             f"{column} = {diff:.3g} at age {x:g}")
 
 
-def _json_cells(c: np.ndarray) -> list:
-    # the floats of c, with each non-finite one as the token json writes for it
-    values = c.tolist()
-    for i in np.flatnonzero(~np.isfinite(c)).tolist():
-        values[i] = "NaN" if math.isnan(values[i]) else (
-            "Infinity" if values[i] > 0.0 else "-Infinity")
-    return values
-
-
 def _cpu_count() -> int:
     # the CPUs this process may run on
     if hasattr(os, "sched_getaffinity"):
@@ -257,8 +251,8 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _write_blocks(block_text, n_blocks: int, out) -> None:
-    # out.write(block_text(i)) for i in range(n_blocks), in order, with the texts
+def _write_blocks(block_text, starts: range, out) -> None:
+    # out.write(block_text(start)) for start in starts, in order, with the texts
     # made on two pool threads and at most _EMIT_WINDOW blocks in flight.  Only this
     # thread writes.  If a block or a write raises, the blocks not yet started are
     # dropped and the pool is joined before the error reaches the caller
@@ -267,8 +261,8 @@ def _write_blocks(block_text, n_blocks: int, out) -> None:
     pending = deque()
     pool = ThreadPoolExecutor(2, thread_name_prefix="gmlife-emit")
     try:
-        for i in range(n_blocks):
-            pending.append(pool.submit(block_text, i))
+        for start in starts:
+            pending.append(pool.submit(block_text, start))
             if len(pending) == _EMIT_WINDOW:
                 out.write(pending.popleft().result())
         for future in pending:
@@ -278,37 +272,41 @@ def _write_blocks(block_text, n_blocks: int, out) -> None:
 
 
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
+    # a header, the text of each block of _EMIT_BLOCK rows, and a footer
     fields = list(cols)
     if fmt == "csv":
         from .formatting import format_cells  # JSON-only runs never build its tables
 
-        out.write(",".join(fields) + "\n")
+        head, foot = ",".join(fields) + "\n", ""
         seps = np.full(len(fields), ord(","), np.uint8)
         seps[-1] = ord("\n")
 
-        def block_text(i: int) -> str:
-            start = i * _EMIT_BLOCK
+        def block_text(start: int) -> str:
             block = np.column_stack([c[start:start + _EMIT_BLOCK] for c in cols.values()])
             return format_cells(block.ravel(), np.tile(seps, len(block))).decode()
-
-        n_blocks = -(-cols["x"].size // _EMIT_BLOCK)
-        if n_blocks > 1 and _cpu_count() > 1:
-            # format_cells releases the GIL in most of its numpy calls
-            _write_blocks(block_text, n_blocks, out)
-        else:
-            for i in range(n_blocks):
-                out.write(block_text(i))
     else:
         # json.dumps(rows as dicts, indent=2) is "[\n" + items joined by ",\n" + "\n]",
-        # and each item is one template filled with a row: %s of a float is its
-        # repr, as json writes it
+        # and each item is one template filled with the tokens json.dumps writes for
+        # the row's floats
+        head, foot = "[\n", "\n]\n"
         item = "  {\n" + ",\n".join(
             "    %s: %%s" % json.dumps(k).replace("%", "%%") for k in fields) + "\n  }"
-        out.write("[\n")
-        for start in range(0, cols["x"].size, _EMIT_BLOCK):
-            rows = zip(*(_json_cells(c[start:start + _EMIT_BLOCK]) for c in cols.values()))
-            out.write((",\n" if start else "") + ",\n".join([item % row for row in rows]))
-        out.write("\n]\n")
+
+        def block_text(start: int) -> str:
+            rows = zip(*(json.dumps(c[start:start + _EMIT_BLOCK].tolist())[1:-1].split(", ")
+                         for c in cols.values()))
+            return (",\n" if start else "") + ",\n".join([item % row for row in rows])
+
+    out.write(head)
+    starts = range(0, cols["x"].size, _EMIT_BLOCK)
+    if fmt == "csv" and len(starts) > 1 and _cpu_count() > 1:
+        # format_cells releases the GIL in most of its numpy calls; JSON's block is
+        # Python work, which the pool measured slower
+        _write_blocks(block_text, starts, out)
+    else:
+        for start in starts:
+            out.write(block_text(start))
+    out.write(foot)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -48,6 +48,12 @@ exp of D's exponent, and the gamma product at the rate's shape.  One helper
 turns (D, a_bar, xi) into the columns for the scalar and the batch code
 alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
 entry.
+
+Where a_bar is not a finite double (1/a at beta = 0 with a tiny a, or
+f/gamma with a tiny gamma), the evaluation raises OverflowError, at its age
+or, in a table, at that lane, and so does every value it gives (the ageing
+factor among them): N = D a_bar and M, bounded by D and a_bar, would
+otherwise be inf or NaN.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mortality import (GmParams, _check_age, _check_ages, _check_args,
-                        _discounted_survival, _discounted_survival_array,
-                        _senescent_exponent_array)
+                        _discounted_survival, _discounted_survival_array, _gamma_x,
+                        _gamma_xs, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
 from .special import (_on_lanes, _per_element, _ratio_pair_array, _split,
                       exp_scaled_upper_inc_gamma)
@@ -89,19 +95,26 @@ class CommutationRow:
     m_val: float
 
 
+def _finite_a_bar(a_bar: float) -> float:
+    # a_bar, which bounds N = D * a_bar and M <= D * (xi + alpha * a_bar), if finite
+    if not math.isfinite(a_bar):
+        raise OverflowError(f"a_bar = {a_bar!r} is not a finite double")
+    return a_bar
+
+
 def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     # (a_bar, xi) at age x and combined flat hazard a = alpha + delta,
     # with a * a_bar = 1 - xi and xi clamped to [0, 1] against rounding
     if params.beta == 0.0:
         if a == 0.0:
             raise ValueError("alpha, beta and delta are all zero: value is infinite")
-        return 1.0 / a, 0.0
+        return _finite_a_bar(1.0 / a), 0.0
     gam = params.gamma_exp
-    z = params.beta * math.exp(gam * x) / gam
+    z = params.beta * math.exp(_gamma_x(params, x)) / gam
     # the pair z**r e**z (Gamma(-r, z), Gamma(1 - r, z)) at r = a / gamma is
     # (gamma * a_bar, xi): both come out of one evaluation, neither by subtraction
     f, xi = exp_scaled_upper_inc_gamma(-(a / gam), z, pair=True)
-    return f / gam, 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
+    return _finite_a_bar(f / gam), 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
 
 
 def _evaluate_table(params: GmParams, a: float, z: np.ndarray,
@@ -109,13 +122,16 @@ def _evaluate_table(params: GmParams, a: float, z: np.ndarray,
     # _evaluate at every age, given its gamma argument z and split = _split(z), in
     # the same operation order
     if params.beta == 0.0:
-        if a == 0.0 and z.size:  # _evaluate raises at every age; name the first
-            _on_lanes((0,), _evaluate, params, a, 0.0)
-        # a_bar = 1/a, infinite at a = 0, where only an empty table gets here
-        return np.full(z.shape, 1.0 / a if a else math.inf), np.zeros(z.shape)
+        # no age changes the pair: _evaluate's at age 0, or its error, named at lane 0
+        pair = _on_lanes((0,), _evaluate, params, a, 0.0) if z.size else (0.0, 0.0)
+        return tuple(np.full(z.shape, v) for v in pair)
     gam = params.gamma_exp
     f, xi = _ratio_pair_array(-(a / gam), z, split)
-    return f / gam, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
+    a_bar = f / gam
+    overflowed = np.flatnonzero(~np.isfinite(a_bar))
+    if overflowed.size:  # _evaluate raises at each such lane; name the first
+        _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
+    return a_bar, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
 
 
 def e0(params: GmParams) -> float:
@@ -128,9 +144,11 @@ def annuity(params: GmParams, delta: float, x: float) -> float:
 
     Computed as e0 at the discount-shifted, age-shifted basis
     (alpha + delta, beta * e**(gamma_exp * x), gamma_exp).  Raises
-    OverflowError when beta * e**(gamma_exp * x) is not representable.
+    OverflowError where e**(gamma_exp * x) or the value itself is not a finite
+    double, and ValueError where beta * e**(gamma_exp * x) alone is not, or
+    alpha + delta is not.
     """
-    _check_args(delta, x)
+    _check_args(params, delta, x)
     return _evaluate(params, params.alpha + delta, x)[0]
 
 
@@ -147,7 +165,7 @@ def ageing_factor(params: GmParams, delta: float, x: float) -> float:
     Undefined when alpha + delta = 0, since the defining relation
     degenerates there.
     """
-    _check_args(delta, x)
+    _check_args(params, delta, x)
     if params.alpha + delta == 0.0:
         raise ValueError("ageing factor is undefined when alpha + delta = 0")
     return _evaluate(params, params.alpha + delta, x)[1]
@@ -155,7 +173,7 @@ def ageing_factor(params: GmParams, delta: float, x: float) -> float:
 
 def commutation_d(params: GmParams, delta: float, x: float) -> float:
     """D(x) = l(x) * e**(-delta*x), i.e. survival at the rate-shifted basis."""
-    _check_args(delta, x)
+    _check_args(params, delta, x)
     return _discounted_survival(params, delta, x)
 
 
@@ -176,13 +194,13 @@ def _commutation(params: GmParams, rate: float, x: float) -> tuple:
 
 def commutation_n(params: GmParams, delta: float, x: float) -> float:
     """N(x) = integral of D over [x, inf) = D(x) * a_bar(x)."""
-    _check_args(delta, x)
+    _check_args(params, delta, x)
     return _commutation(params, delta, x)[1]
 
 
 def commutation_m(params: GmParams, delta: float, x: float) -> float:
     """M(x) = integral of mu*D over [x, inf) = D(x) - delta * N(x)."""
-    _check_args(delta, x)
+    _check_args(params, delta, x)
     return _commutation(params, delta, x)[2]
 
 
@@ -195,7 +213,7 @@ def commutation_row(
     insurance contracts priced off the single-rate columns.
     """
     rate = 2.0 * delta if double_rate else delta
-    _check_args(rate, x)
+    _check_args(params, rate, x)
     d, n, m, _, _ = _commutation(params, rate, x)
     return CommutationRow(x=x, d_val=d, n_val=n, m_val=m)
 
@@ -226,7 +244,7 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
     # then, where some rate's table raises, this raises what the first such rate
     # raises, with its lane
     for rate in rates:
-        _check_args(rate)
+        _check_args(params, rate)
     xs = _check_ages(xs)
     gam = params.gamma_exp
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
@@ -234,7 +252,7 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
         if params.beta:
             # exp overflows at exactly the ages where expm1 did, first: this raises
             # what D, the first value at every rate, raises
-            scaled = params.beta * _per_element(math.exp, gam * xs)
+            scaled = params.beta * _per_element(math.exp, _gamma_xs(params, xs))
             mu = params.alpha + scaled
             z = np.divide(scaled, gam, out=scaled)  # in place: one array fewer alive
         else:
@@ -253,7 +271,7 @@ def positive_shape_check(params: GmParams, delta: float) -> float:
     means the combined hazard-plus-interest exceeds the ageing rate.  Either
     way the annuity is evaluated the same way (see the module docstring).
     """
-    _check_args(delta)
+    _check_args(params, delta)
     if params.gamma_exp <= 0.0:
         raise ValueError("shape is only defined for gamma_exp > 0")
     return 1.0 - (params.alpha + delta) / params.gamma_exp

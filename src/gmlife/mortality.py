@@ -7,12 +7,19 @@ The matching survival function is
     l(x) = exp(-alpha*x - (beta/gamma_exp) * (e**(gamma_exp*x) - 1)).
 
 Survival and the force of mortality also come as batch twins over a numpy
-array of ages, bit for bit the scalar functions at every age.
+array of ages, bit for bit the scalar functions at every age.  Wherever
+gamma_exp * x overflows to inf, each function raises OverflowError, as it
+does where e**(gamma_exp * x) alone overflows: the product is capped at the
+largest double (``_gamma_x``, and ``_gamma_xs`` over an array) before exp
+or expm1 takes it.  The rate check every discounted value shares also
+requires alpha + rate to be finite, since -(alpha + rate) x at x = 0 would
+otherwise be NaN.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +34,9 @@ class GmParams:
     """Immutable mortality basis (alpha, beta, gamma_exp), all per year.
 
     alpha >= 0 and beta >= 0.  gamma_exp must be positive whenever
-    beta > 0; with beta = 0 the senescent term vanishes and gamma_exp is
-    stored unused, so any finite value is accepted there.
+    beta > 0, and beta / gamma_exp, the scale of the senescent exponent, a
+    finite double; with beta = 0 the senescent term vanishes and gamma_exp
+    is stored unused, so any finite value is accepted there.
     """
 
     alpha: float
@@ -46,6 +54,9 @@ class GmParams:
             raise ValueError(
                 f"gamma_exp must be > 0 when beta > 0, got {self.gamma_exp!r}"
             )
+        if self.beta > 0.0 and math.isinf(self.beta / self.gamma_exp):
+            raise ValueError(f"beta / gamma_exp must be finite, got {self.beta!r} / "
+                             f"{self.gamma_exp!r}")
 
 
 def _check_finite(name: str, v: float) -> None:
@@ -54,7 +65,7 @@ def _check_finite(name: str, v: float) -> None:
 
 
 def _check_age(x: float) -> None:
-    if math.isnan(x) or math.isinf(x) or x < 0.0:
+    if not 0.0 <= x < math.inf:  # nan fails too
         raise ValueError(f"age must be finite and >= 0, got {x!r}")
 
 
@@ -65,10 +76,26 @@ def _check_ages(xs) -> np.ndarray:
     return xs
 
 
-def _check_args(delta: float, x: float = 0.0) -> None:
-    if math.isnan(delta) or math.isinf(delta) or delta < 0.0:
+def _check_args(params: GmParams, delta: float, x: float = 0.0) -> None:
+    if not 0.0 <= delta < math.inf:  # nan fails too
         raise ValueError(f"interest rate must be finite and >= 0, got {delta!r}")
+    if params.alpha + delta == math.inf:
+        raise ValueError(f"alpha + interest rate must be finite, got {params.alpha!r} "
+                         f"+ {delta!r}")
     _check_age(x)
+
+
+def _gamma_x(params: GmParams, x: float) -> float:
+    # gamma_exp * x with inf capped at the largest double: exp and expm1 from math
+    # then raise OverflowError there, as where the product is finite and only the
+    # exponential overflows.  A finite product is unchanged
+    gx = params.gamma_exp * x
+    return gx if gx < math.inf else sys.float_info.max
+
+
+def _gamma_xs(params: GmParams, xs: np.ndarray) -> np.ndarray:
+    # _gamma_x at every age of xs
+    return np.minimum(params.gamma_exp * xs, sys.float_info.max)
 
 
 def _ln_discounted_survival(params: GmParams, rate: float, x: float) -> float:
@@ -76,7 +103,7 @@ def _ln_discounted_survival(params: GmParams, rate: float, x: float) -> float:
     exponent = -(params.alpha + rate) * x
     if params.beta != 0.0:
         # expm1 keeps the senescent exponent accurate for small gamma_exp * x
-        exponent -= (params.beta / params.gamma_exp) * math.expm1(params.gamma_exp * x)
+        exponent -= (params.beta / params.gamma_exp) * math.expm1(_gamma_x(params, x))
     return exponent
 
 
@@ -90,7 +117,7 @@ def _senescent_exponent_array(params: GmParams, xs: np.ndarray) -> np.ndarray | 
     # _ln_discounted_survival; 0.0 where beta = 0, whose subtraction changes no bit
     if params.beta == 0.0:
         return 0.0
-    return (params.beta / params.gamma_exp) * _per_element(math.expm1, params.gamma_exp * xs)
+    return (params.beta / params.gamma_exp) * _per_element(math.expm1, _gamma_xs(params, xs))
 
 
 def _discounted_survival_array(params: GmParams, rate: float, xs: np.ndarray,
@@ -115,7 +142,7 @@ def mortality_rate(params: GmParams, x: float) -> float:
     _check_age(x)
     if params.beta == 0.0:
         return params.alpha
-    return params.alpha + params.beta * math.exp(params.gamma_exp * x)
+    return params.alpha + params.beta * math.exp(_gamma_x(params, x))
 
 
 def mortality_rates(params: GmParams, xs) -> np.ndarray:
@@ -129,7 +156,7 @@ def mortality_rates(params: GmParams, xs) -> np.ndarray:
     if params.beta == 0.0:
         return np.full(xs.shape, params.alpha)
     with np.errstate(all="ignore"):
-        return params.alpha + params.beta * _per_element(math.exp, params.gamma_exp * xs)
+        return params.alpha + params.beta * _per_element(math.exp, _gamma_xs(params, xs))
 
 
 def cdf(params: GmParams, x: float) -> float:

@@ -30,7 +30,11 @@ integrand values, which bounds memory), and a lane leaves as soon as it
 has converged.  Each lane repeats the one-lane arithmetic in the same
 order, so ``integrate_survival_table`` and ``integrate_m_table`` equal
 their scalar twins, which are one-lane calls of the same engine, bit for
-bit and in evaluation count.
+bit and in evaluation count.  An age whose D(x) is 0 runs no quadrature of
+M; one whose D(x) is NaN (beta/gamma underflows to 0 while expm1(gamma x)
+overflows) fails with the error :func:`gmlife.life.commutation_d` raises
+there.  Each public table entry ignores numpy's overflow and invalid
+warnings once, for its whole call: an overflow that matters fails a lane.
 
 Monte-Carlo functions take an explicit numpy Generator (``
 numpy.random.default_rng``, the PCG64 algorithm) so results are exactly
@@ -55,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import GmParams, _check_age, _check_ages, _check_args, _check_finite
+from .mortality import (GmParams, _check_age, _check_ages, _check_args, _check_finite,
+                        _discounted_survival, _gamma_x, _gamma_xs)
 from .special import ConvergenceError, _at_lane, _on_lanes, _per_element
 
 __all__ = [
@@ -103,17 +108,13 @@ class McEstimate:
 def _gauss_legendre(f, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # f(t, rows) is the integrand of lanes rows at t of shape (rows.size, k); returns
     # (value, abs_err, evaluations) per lane.  The lanes run in blocks of ages, in
-    # order, so a lane that fails stops the table once its own block has run.
-    # expm1(gamma t) may overflow to inf in the tail of either integrand, whose
-    # log-ratio is then -inf and the integrand 0 (or NaN, from 0 * inf or -inf + inf,
-    # which fails the lane if a level meets it)
+    # order, so a lane that fails stops the table once its own block has run
     if not tol.size:
         return np.empty(0), np.empty(0), np.empty(0, int)
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [_on_lanes(range(start, tol.size), _gauss_legendre_block,
-                            lambda t, rows, start=start: f(t, start + rows),
-                            tol[start:start + _BLOCK_LANES])
-                  for start in range(0, tol.size, _BLOCK_LANES)]
+    blocks = [_on_lanes(range(start, tol.size), _gauss_legendre_block,
+                        lambda t, rows, start=start: f(t, start + rows),
+                        tol[start:start + _BLOCK_LANES])
+              for start in range(0, tol.size, _BLOCK_LANES)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
@@ -191,14 +192,14 @@ def _ln_discounted_survival_ratio(params: GmParams, delta: float, xs: np.ndarray
     if params.beta == 0.0:
         return lambda t, rows: -a * t
     gam = params.gamma_exp
-    bg = (params.beta * _per_element(math.exp, gam * xs) / gam)[:, None]
+    bg = (params.beta * _per_element(math.exp, _gamma_xs(params, xs)) / gam)[:, None]
     return lambda t, rows: -a * t - bg[rows] * np.expm1(gam * t)
 
 
-def _first_lane(table: QuadratureResult) -> QuadratureResult:
-    return QuadratureResult(value=float(table.value[0]),
-                            abs_error_estimate=float(table.abs_error_estimate[0]),
-                            evaluations=int(table.evaluations[0]))
+def _first_lane(table):
+    # the scalar result in lane 0 of a table call's QuadratureResult or McEstimate
+    return type(table)(*(v[0].item() if isinstance(v, np.ndarray) else v
+                         for v in vars(table).values()))
 
 
 def integrate_survival(
@@ -214,6 +215,10 @@ def integrate_survival(
     return _first_lane(integrate_survival_table(params, delta, [x], tol))
 
 
+# expm1(gamma x) and expm1(gamma t) may overflow to inf: a log-ratio is then -inf and
+# the integrand 0, or NaN (0 * inf, -inf + inf), which fails the lane if a level
+# meets it
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_survival_table(params: GmParams, delta: float, xs, tol=1e-10) -> QuadratureResult:
     """:func:`integrate_survival` at every age of a 1-D array of ages.
 
@@ -243,6 +248,7 @@ def integrate_m(
     return _first_lane(integrate_m_table(params, delta, [x], tol))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as integrate_survival_table
 def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> QuadratureResult:
     """:func:`integrate_m` at every age of a 1-D array of ages.
 
@@ -253,12 +259,16 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     """
     all_xs, tol = _check_inputs(params, delta, xs, tol)
     alpha, beta, gam = params.alpha, params.beta, params.gamma_exp
-    # D(x) = e**(-delta x) l(x)
+    # D(x) = e**(-delta x) l(x), 0 where e**(gamma x) overflows, and NaN where
+    # beta/gamma also underflows to 0: there commutation_d raises, and so does this,
+    # at the first such lane
     ln_d = -(alpha + delta) * all_xs
     if beta != 0.0:
-        with np.errstate(over="ignore"):  # l(x) is 0 where e**(gamma x) overflows
-            ln_d = ln_d - (beta / gam) * np.expm1(gam * all_xs)
+        ln_d = ln_d - (beta / gam) * np.expm1(gam * all_xs)
     d_x = np.exp(ln_d)
+    undefined = np.flatnonzero(np.isnan(d_x))
+    if undefined.size:
+        _on_lanes(undefined, _discounted_survival, params, delta, float(all_xs[undefined[0]]))
     # where D(x) underflows to 0, so does D(x) times the integral, whatever the
     # integral is: such lanes run no quadrature and return 0 with 0 evaluations
     live = np.flatnonzero(d_x > 0.0)
@@ -290,7 +300,7 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
 def _check_inputs(params: GmParams, delta: float, xs, tol) -> tuple[np.ndarray, np.ndarray]:
     # the ages, and one tolerance per age
     xs = _check_ages(xs)
-    _check_args(delta)
+    _check_args(params, delta)
     if params.alpha + params.beta + delta <= 0.0:
         raise ValueError("need alpha + beta + delta > 0 for a convergent integral")
     tol = np.full(xs.shape, tol, dtype=float)
@@ -366,9 +376,7 @@ def mc_remaining_life(
     rejection step is needed.
     """
     _check_age(x)
-    est = mc_remaining_life_table(params, [x], n, rng)
-    return McEstimate(mean=float(est.mean[0]), std_error=float(est.std_error[0]),
-                      n_samples=n)
+    return _first_lane(mc_remaining_life_table(params, [x], n, rng))
 
 
 # on a steep basis the draws in units of 1/gamma, or their sum, may overflow: the
@@ -404,7 +412,7 @@ def mc_remaining_life_table(
         beta = params.beta  # aged to x, the one field of the basis that changes
         if beta > 0.0:
             try:  # the aged basis' lifetimes are the remaining lifetimes at x
-                beta *= math.exp(params.gamma_exp * x)
+                beta *= math.exp(_gamma_x(params, x))
                 _check_finite("beta", beta)
             except (OverflowError, ValueError) as exc:  # e**(gamma x) or beta is inf
                 raise _at_lane(exc, i)

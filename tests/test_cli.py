@@ -87,6 +87,25 @@ NON_FINITE_STEP_AND_TOL = [
                     "--verify", "--verify-tol", "inf"],
 ]
 
+# argv at an overflow edge, each with its exit code: gamma * x or e**(gamma x)
+# (exit 3), alpha + a rate of the table (exit 2) or a_bar (exit 3) overflows
+OVERFLOW_CASES = [
+    (["--alpha", "0", "--beta", "1e-3", "--gamma", "1e308",
+      "--x-min", "2", "--x-max", "2", "--step", "1"], 3),
+    (["--alpha", "0", "--beta", "1e-3", "--gamma", "1e308",
+      "--x-min", "0", "--x-max", "2", "--step", "1"], 3),
+    (["--alpha", "1e308", "--beta", "0", "--gamma", "1", "--delta", "1e308",
+      "--x-min", "0", "--x-max", "1", "--step", "1"], 2),
+    (["--alpha", "1e308", "--beta", "0", "--gamma", "1", "--delta", "1e308",
+      "--x-min", "0", "--x-max", "1", "--step", "1", "--verify"], 2),
+    (["--alpha", "1e308", "--beta", "0", "--gamma", "1", "--delta", "5e307",
+      "--x-min", "0", "--x-max", "1", "--step", "1", "--double-rate"], 2),
+    (["--alpha", "5e-324", "--beta", "0", "--gamma", "1", "--delta", "1e-310",
+      "--x-min", "0", "--x-max", "1", "--step", "1"], 3),
+    (["--alpha", "5e-324", "--beta", "5e-324", "--gamma", "5e-324", "--delta", "5e-324",
+      "--x-min", "0", "--x-max", "0", "--step", "1"], 3),
+]
+
 # each numeric flag of the traceback sweep takes one of these values
 EDGE_NUMBERS = [0.0, -0.0, 5e-324, 1e-300, 1e-3, 0.1, 1.0, 110.0, 1e300, 1e308,
                 math.inf, -math.inf, math.nan]
@@ -772,6 +791,8 @@ class TestExitCodes:
     @given(edge_argv())
     @example(NON_FINITE_STEP_AND_TOL[0])
     @example(NON_FINITE_STEP_AND_TOL[1])
+    @example(OVERFLOW_CASES[2][0])
+    @example(OVERFLOW_CASES[3][0])
     def test_no_argv_ends_in_a_traceback(self, argv):
         # every flag at an edge value: gmlife exits with a code it documents and
         # says nothing on stderr, or one line, never a traceback.  A numpy warning,
@@ -793,6 +814,15 @@ class TestExitCodes:
         else:
             assert err.startswith("gmlife: ") and err.count("\n") == 1, (argv, err)
             assert err.endswith("\n"), (argv, err)
+
+    @pytest.mark.parametrize("argv, want", OVERFLOW_CASES)
+    def test_an_overflow_is_an_error_not_a_cell(self, capsys, argv, want):
+        # where gamma * x, alpha + rate or a_bar overflows, no nan or inf is printed
+        # as a value: the argv is rejected (exit 2) or fails (exit 3), on one line
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == want and out == "", (code, out)
+        assert err.startswith("gmlife: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_numerical_failure_is_exit_3_and_names_age(self, capsys):
         for argv, message in EXIT_3_CASES:

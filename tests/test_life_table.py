@@ -162,6 +162,11 @@ def _table_or_error(fn, *args):
 @example((GmParams(0.001, 0.0, -1.0), DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
 @example((GmParams(0.0, 0.0, -1.0), DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
 @example((BASIS, DELTA, np.array([-0.0, 0.0, 1.0, 50.0])))
+# gamma x overflows to inf at age 2, where exp raises as it does at age 1
+@example((GmParams(0.0, 1e-3, 1e308), 0.0, np.array([0.0, 2.0])))
+# a_bar overflows: 1/(alpha + rate) at beta = 0, f/gamma at beta > 0
+@example((GmParams(5e-324, 0.0, 1.0), 1e-310, np.array([0.0, 1.0])))
+@example((GmParams(5e-324, 5e-324, 5e-324), 5e-324, np.array([0.0, 1.0])))
 def test_rates_share_one_grid(case):
     # the CLI's rates (r, 0, 2r) from one grid are three life_table calls and
     # mortality_rates: the same columns bit for bit, or what the first rate that

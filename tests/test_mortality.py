@@ -54,6 +54,15 @@ class TestGmParams:
             with pytest.raises(ValueError):
                 GmParams(0.0, bad, 0.1)
 
+    def test_rejects_an_infinite_senescent_scale(self):
+        # beta / gamma_exp scales the senescent exponent: where it overflows, l(x)
+        # would be NaN at gamma x = 0 and 0 just above.  A scale that underflows to
+        # 0 is accepted: the exponent it drops is below 5e-16 wherever
+        # e**(gamma x) is finite
+        with pytest.raises(ValueError, match="beta / gamma_exp must be finite"):
+            GmParams(0.0, 1e-3, 5e-324)
+        GmParams(0.0, 5e-324, 1e308)
+
     def test_zero_hazard_is_constructible(self):
         GmParams(0.0, 0.0, 0.1)
 
