@@ -35,10 +35,11 @@ NaN fails verification.
 
 Exit codes: 0 success, 1 standard output closed before the whole table was
 written (as by ``gmlife ... | head``; nothing is printed to stderr), 2 bad
-flags or invalid basis (a non-finite ``--step`` or ``--verify-tol``, or a rate
-of the table whose sum with alpha is not finite, among them), 3 numerical
-failure at some age (a D, N, M, a_bar or e_x that would overflow among
-them), 4 verification failure.  Exit 3
+flags or invalid basis (a non-finite ``--step`` or ``--verify-tol``, a rate of
+the table whose sum with alpha is not finite, or, with ``--diagnostics``, a
+shape that is not, among them), 3 numerical failure at some age (a mu, D, N,
+M, a_bar or e_x that would overflow among them), 4 verification failure.
+Exit 3
 names the first age at which the scalar API raises, taking a row's calls in
 column order (rate delta, rate 0, twice the rate, then the oracles), and
 that call's error.  The columns find it on their own: a batch that fails
@@ -60,18 +61,18 @@ import numpy as np
 
 from . import life, oracle
 from .life import _life_tables  # by name: perfbench/tracing.py swaps cli.life for __all__
-from .mortality import GmParams, _check_args, mortality_rate, survival
+from .mortality import GmParams, _check_args, _finite_hazards, mortality_rate, survival
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
 # At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
-# emitted, and computing them peaks at ~302 MB RSS (~274 MB plain), the age grid
-# shared by the rates (~38 B a row, freed once the columns are done) and mu, made
-# from the grid, included.  Emitting on two threads keeps up to _EMIT_WINDOW
-# blocks in flight, a formatter peak of ~8 MB (~4 MB serially) whatever the row
-# count
+# emitted, and computing them peaks at ~292 MB RSS (~262 MB plain), the age grid
+# shared by the rates (~38 B a row, freed once the columns are done), mu, made
+# from the grid, and the batch twins' lane order and window included.  Emitting
+# on two threads keeps up to _EMIT_WINDOW blocks in flight, a formatter peak of
+# ~8 MB (~4 MB serially) whatever the row count
 _MAX_ROWS = 1_000_000
 _EMIT_BLOCK = 1024  # rows formatted per write
 # blocks in flight on the emit pool: with 2 the table's emit took ~15% longer, and 4
@@ -150,6 +151,11 @@ def _validate(args) -> GmParams:
     if args.diagnostics and args.alpha + args.delta <= 0.0:
         raise _UsageError("--diagnostics needs alpha + delta > 0 (ageing factor "
                           "is undefined)")
+    if args.diagnostics:
+        try:  # the shape is a property of the basis and the rate, not of an age
+            life.positive_shape_check(params, args.delta)
+        except OverflowError as exc:
+            raise _UsageError(str(exc)) from exc
     return params
 
 
@@ -175,11 +181,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
-    # one table per rate, and mu, from one age grid, in the scalar API's row order
-    # (mu fails only where D does): at rate 0 its D is l and its a_bar is e_x
+    # one table per rate, and mu, from one age grid, in the scalar API's row order:
+    # at rate 0 its D is l and its a_bar is e_x.  mu overflows where D or the
+    # tables fail with the same error, or else (alpha + beta e**(gamma x) past the
+    # largest double, the tables finite) alone, where it is checked last
     rates = (args.delta, 0.0) + ((2.0 * args.delta,) if args.double_rate else ())
     mu, (single, undiscounted, *double) = _life_tables(params, rates, xs)
-    cols = {"x": xs, "l": undiscounted["D"], "mu": mu}
+    cols = {"x": xs, "l": undiscounted["D"], "mu": _finite_hazards(mu)}
     cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
     cols["e_x"] = undiscounted["a_bar"]
     for table in double:

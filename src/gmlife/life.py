@@ -50,10 +50,12 @@ alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
 entry.
 
 Where a_bar is not a finite double (1/a at beta = 0 with a tiny a, or
-f/gamma with a tiny gamma), the evaluation raises OverflowError, at its age
-or, in a table, at that lane, and so does every value it gives (the ageing
-factor among them): N = D a_bar and M, bounded by D and a_bar, would
-otherwise be inf or NaN.
+f/gamma with a tiny gamma), or the gamma argument z is not (where
+beta * e**(gamma x) overflows and e**(gamma x) does not), the evaluation
+raises OverflowError, at its age or, in a table, at that lane, and so does
+every value it gives (the ageing factor among them): N = D a_bar and M,
+bounded by D and a_bar, would otherwise be inf or NaN.  D itself underflows
+to 0.0 there.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mortality import (GmParams, _check_age, _check_ages, _check_args,
-                        _discounted_survival, _discounted_survival_array, _gamma_x,
-                        _gamma_xs, _senescent_exponent_array)
+                        _discounted_survival, _discounted_survival_array, _finite_hazard,
+                        _finite_hazards, _gamma_x, _gamma_xs, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
 from .special import (_on_lanes, _per_element, _ratio_pair_array, _split,
                       exp_scaled_upper_inc_gamma)
@@ -110,7 +112,7 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
             raise ValueError("alpha, beta and delta are all zero: value is infinite")
         return _finite_a_bar(1.0 / a), 0.0
     gam = params.gamma_exp
-    z = params.beta * math.exp(_gamma_x(params, x)) / gam
+    z = _finite_hazard(params.beta * math.exp(_gamma_x(params, x)) / gam)
     # the pair z**r e**z (Gamma(-r, z), Gamma(1 - r, z)) at r = a / gamma is
     # (gamma * a_bar, xi): both come out of one evaluation, neither by subtraction
     f, xi = exp_scaled_upper_inc_gamma(-(a / gam), z, pair=True)
@@ -144,9 +146,9 @@ def annuity(params: GmParams, delta: float, x: float) -> float:
 
     Computed as e0 at the discount-shifted, age-shifted basis
     (alpha + delta, beta * e**(gamma_exp * x), gamma_exp).  Raises
-    OverflowError where e**(gamma_exp * x) or the value itself is not a finite
-    double, and ValueError where beta * e**(gamma_exp * x) alone is not, or
-    alpha + delta is not.
+    OverflowError where e**(gamma_exp * x), its gamma argument
+    beta * e**(gamma_exp * x) / gamma_exp or the value itself is not a finite
+    double, and ValueError where alpha + delta is not.
     """
     _check_args(params, delta, x)
     return _evaluate(params, params.alpha + delta, x)[0]
@@ -254,7 +256,8 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
             # what D, the first value at every rate, raises
             scaled = params.beta * _per_element(math.exp, _gamma_xs(params, xs))
             mu = params.alpha + scaled
-            z = np.divide(scaled, gam, out=scaled)  # in place: one array fewer alive
+            # in place, one array fewer alive; where z overflows every rate raises
+            z = _finite_hazards(np.divide(scaled, gam, out=scaled))
         else:
             mu, z = np.full(xs.shape, params.alpha), np.zeros_like(xs)
         split = _split(z)
@@ -270,8 +273,14 @@ def positive_shape_check(params: GmParams, delta: float) -> float:
     gamma function and the gamma CDF applies as written; a non-positive value
     means the combined hazard-plus-interest exceeds the ageing rate.  Either
     way the annuity is evaluated the same way (see the module docstring).
+    Raises OverflowError where the shape is not a finite double (a tiny
+    gamma_exp).
     """
     _check_args(params, delta)
     if params.gamma_exp <= 0.0:
         raise ValueError("shape is only defined for gamma_exp > 0")
-    return 1.0 - (params.alpha + delta) / params.gamma_exp
+    shape = 1.0 - (params.alpha + delta) / params.gamma_exp
+    if not math.isfinite(shape):
+        raise OverflowError(f"shape 1 - (alpha + delta)/gamma_exp = {shape!r} is not a "
+                            "finite double")
+    return shape

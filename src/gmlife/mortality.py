@@ -11,9 +11,13 @@ array of ages, bit for bit the scalar functions at every age.  Wherever
 gamma_exp * x overflows to inf, each function raises OverflowError, as it
 does where e**(gamma_exp * x) alone overflows: the product is capped at the
 largest double (``_gamma_x``, and ``_gamma_xs`` over an array) before exp
-or expm1 takes it.  The rate check every discounted value shares also
-requires alpha + rate to be finite, since -(alpha + rate) x at x = 0 would
-otherwise be NaN.
+or expm1 takes it.  Where e**(gamma_exp * x) is finite but mu, or another
+value scaled from beta * e**(gamma_exp * x), overflows, the functions that
+read it (here mu; in :mod:`gmlife.life` every value that reads its gamma
+argument; the Monte-Carlo's aged basis) raise one OverflowError
+(``_finite_hazard``), while survival underflows to 0.0.  The rate check
+every discounted value shares also requires alpha + rate to be finite,
+since -(alpha + rate) x at x = 0 would otherwise be NaN.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _per_element
+from .special import _on_lanes, _per_element
 
 __all__ = ["GmParams", "survival", "mortality_rate", "mortality_rates", "cdf"]
 
@@ -62,6 +66,24 @@ class GmParams:
 def _check_finite(name: str, v: float) -> None:
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _finite_hazard(v: float) -> float:
+    # v, beta e**(gamma_exp x) or a value scaled from it (mu, life's gamma argument z,
+    # the Monte-Carlo's aged beta), if it is finite: where it overflows while
+    # e**(gamma_exp x) does not, every value that reads it raises this one error
+    if v == math.inf:
+        raise OverflowError("beta * e**(gamma_exp * x) is too large at this age: "
+                            "the value overflows")
+    return v
+
+
+def _finite_hazards(v: np.ndarray) -> np.ndarray:
+    # _finite_hazard at every lane of v, raising at the first lane that overflows
+    over = np.flatnonzero(v == math.inf)
+    if over.size:
+        _on_lanes(over, _finite_hazard, math.inf)
+    return v
 
 
 def _check_age(x: float) -> None:
@@ -138,25 +160,30 @@ def survival(params: GmParams, x: float) -> float:
 
 
 def mortality_rate(params: GmParams, x: float) -> float:
-    """Force of mortality mu(x) = alpha + beta * e**(gamma_exp * x)."""
+    """Force of mortality mu(x) = alpha + beta * e**(gamma_exp * x).
+
+    Raises OverflowError where e**(gamma_exp * x), or mu itself, is not a
+    finite double.
+    """
     _check_age(x)
     if params.beta == 0.0:
         return params.alpha
-    return params.alpha + params.beta * math.exp(_gamma_x(params, x))
+    return _finite_hazard(params.alpha + params.beta * math.exp(_gamma_x(params, x)))
 
 
 def mortality_rates(params: GmParams, xs) -> np.ndarray:
     """:func:`mortality_rate` at every age of a 1-D array of ages.
 
-    Bit for bit the scalar values; raises OverflowError, as the scalar
-    does, when e**(gamma_exp * x) is not representable at some age, with a
-    ``lane`` attribute: the index in xs of the first such age.
+    Bit for bit the scalar values; where the scalar raises OverflowError at
+    some age, this raises too, with a ``lane`` attribute: the index in xs of
+    an age at which the scalar raises the same text.
     """
     xs = _check_ages(xs)
     if params.beta == 0.0:
         return np.full(xs.shape, params.alpha)
     with np.errstate(all="ignore"):
-        return params.alpha + params.beta * _per_element(math.exp, _gamma_xs(params, xs))
+        return _finite_hazards(params.alpha + params.beta
+                               * _per_element(math.exp, _gamma_xs(params, xs)))
 
 
 def cdf(params: GmParams, x: float) -> float:

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import (GmParams, _check_age, _check_ages, _check_args, _check_finite,
-                        _discounted_survival, _gamma_x, _gamma_xs)
+from .mortality import (GmParams, _check_age, _check_ages, _check_args,
+                        _discounted_survival, _finite_hazard, _gamma_x, _gamma_xs)
 from .special import ConvergenceError, _at_lane, _on_lanes, _per_element
 
 __all__ = [
@@ -412,9 +412,8 @@ def mc_remaining_life_table(
         beta = params.beta  # aged to x, the one field of the basis that changes
         if beta > 0.0:
             try:  # the aged basis' lifetimes are the remaining lifetimes at x
-                beta *= math.exp(_gamma_x(params, x))
-                _check_finite("beta", beta)
-            except (OverflowError, ValueError) as exc:  # e**(gamma x) or beta is inf
+                beta = _finite_hazard(beta * math.exp(_gamma_x(params, x)))
+            except OverflowError as exc:  # e**(gamma x) or beta is inf
                 raise _at_lane(exc, i)
         draws = _lifetimes(flat, log_v, beta, params.gamma_exp, out=scratch)
         # draws.mean() and draws.std(ddof=1), with the deviations formed in place

@@ -34,10 +34,16 @@ and the series, with ln z and e**z on the series' lanes, is the same at
 every shape up to 0.1, so a table of several rates computes it once
 (``_split``) and passes it to the batch pair.  The twins only converge
 lanes: a lane leaves the numpy loop at the term or iteration where the
-scalar loop would return.  Once at most _HANDOFF_LANES lanes are live
-(below that width numpy's fixed cost per iteration exceeds the scalar
-loop's per lane) or the budget is spent, each live lane goes on, in lane
-order, in the scalar loop itself, resumed from its state.  A lane live at
+scalar loop would return.  Each twin first sorts its lanes by z, stably,
+in the order they converge (the fraction's largest z first, the series'
+smallest first), then updates its state in place on the window of lanes
+from the first live one on: a lane that converges is recorded and marked
+dead, the window's start moves past the dead prefix, and no iteration
+copies the live lanes.  Once at most _HANDOFF_LANES lanes are live (below
+that width numpy's fixed cost per iteration exceeds the scalar loop's per
+lane) or the budget is spent, each live lane goes on, in the caller's lane
+order, in the scalar loop itself, resumed from its state; where there are
+no more lanes than that to begin with, nothing is sorted.  A lane live at
 the budget's end resumes with no iterations left and the scalar loop
 raises: every failure is raised, and worded, by the scalar code.
 
@@ -82,8 +88,16 @@ _MIN_NORMAL = sys.float_info.min
 # The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
 _CF_MIN_Z = 1.1
 # A batch twin hands its live lanes to the scalar loop once at most this many are
-# left: one numpy iteration costs about as much as this many scalar lane-iterations
-_HANDOFF_LANES = 32
+# left: one numpy iteration costs about as much as this many scalar lane-iterations.
+# Scalar / numpy time on N equal lanes (2-core VM, Python 3.11, best of 7 x 20
+# calls, 2-4 runs): fraction 0.71-0.78 at N = 32, 0.91-0.97 at 40, 1.03-1.12 at
+# 48; series 0.91-1.54 at 32, 0.99-1.17 at 40, 1.13-2.05 at 48.  Re-measure from
+# src at each N, with W = 0 (numpy) and W = 10**6 (scalar):
+#   python3 -m timeit -s "import numpy as np, gmlife.special as sp; sp._HANDOFF_LANES
+#   = W; z = np.full(N, 1.1)" "sp._upper_cf_array(-0.272, z)"           (76 iterations)
+#   ... z = np.full(N, 1.09); l, e = np.log(z), np.exp(z)" "sp._series_pair_array(
+#   0.466, z, l, e)"                                                          (19 terms)
+_HANDOFF_LANES = 40
 
 #: Largest shape for which Gamma(eta) is representable in binary64.
 GAMMA_OVERFLOW_SHAPE = 171.62437695630272
@@ -119,6 +133,45 @@ def _hand_off(loop, shape: float, start, lanes: np.ndarray, z: np.ndarray, *stat
         except ConvergenceError as exc:
             raise _at_lane(exc, lane)
     return results
+
+
+class _Lanes:
+    # The lanes of a batch twin in the order they converge, sorted once, stably, by
+    # key.  The live ones lie in the window [lo:], whose start moves past each
+    # converged prefix; a lane that converges out of order stays in it, dead, until
+    # the lanes before it have converged too.  Where the numpy loop never runs (at
+    # most _HANDOFF_LANES lanes), nothing is sorted
+    def __init__(self, key: np.ndarray) -> None:
+        self.live, self.lo, self.order = key.size, 0, None
+        if key.size > _HANDOFF_LANES:
+            self.order = np.argsort(key, kind="stable")
+            self.alive = np.ones(key.size, bool)
+
+    def sort(self, a: np.ndarray) -> np.ndarray:
+        return a if self.order is None else a[self.order]
+
+    def converged(self, done: np.ndarray) -> np.ndarray:
+        # the positions of the lanes that leave, given done over the window
+        lo = self.lo
+        if self.live < done.size:  # the window holds dead lanes
+            done &= self.alive[lo:]
+        at = np.flatnonzero(done)
+        if at.size:
+            at += lo
+            self.alive[at] = False
+            self.live -= at.size
+            self.lo = lo + int(self.alive[lo:].argmax()) if self.live else done.size + lo
+        return at
+
+    def remaining(self) -> tuple[np.ndarray, np.ndarray]:
+        # (positions, lanes) of the live lanes, in lane order
+        if self.order is None:
+            at = np.arange(self.live)
+            return at, at
+        at = self.lo + np.flatnonzero(self.alive[self.lo:])
+        lane = self.order[at]
+        by_lane = np.argsort(lane)
+        return at[by_lane], lane[by_lane]
 
 
 def _per_element(fn, a: np.ndarray) -> np.ndarray:
@@ -201,34 +254,45 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
     )
 
 
+def _lentz_floor(a: np.ndarray) -> None:
+    # _upper_cf's floor, in place: an entry below _LENTZ_TINY in size becomes it.
+    # Written only where one is (nan too, which the floor leaves as it is)
+    if not np.abs(a).min() >= _LENTZ_TINY:
+        a[np.abs(a) < _LENTZ_TINY] = _LENTZ_TINY
+
+
 def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
     # _upper_cf at every lane of z; a lane leaves at the iteration where _upper_cf
     # returns, or goes on in _upper_cf once at most _HANDOFF_LANES are left or the
-    # budget is spent
+    # budget is spent.  The largest z converge first
     out = np.empty_like(z)
-    lanes = np.arange(z.size)
-    b = z + 1.0 - eta
+    lanes = _Lanes(-z)
+    b = lanes.sort(z) + 1.0 - eta
     c = np.full(z.size, 1.0 / _LENTZ_TINY)
     d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
-    h = d
+    h, delta = d.copy(), np.empty_like(z)
     i = 1
-    while lanes.size > _HANDOFF_LANES and i <= _MAX_ITER:
+    while lanes.live > _HANDOFF_LANES and i <= _MAX_ITER:
+        lo = lanes.lo  # the same arithmetic as _upper_cf, in place on the window
+        bw, cw, dw, hw, tw = b[lo:], c[lo:], d[lo:], h[lo:], delta[lo:]
         an = -i * (i - eta)
-        b = b + 2.0
-        d = an * d + b
-        d[np.abs(d) < _LENTZ_TINY] = _LENTZ_TINY
-        c = b + an / c
-        c[np.abs(c) < _LENTZ_TINY] = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _REL_EPS
-        if done.any():
-            out[lanes[done]] = h[done]
-            left = ~done
-            lanes, b, c, d, h = lanes[left], b[left], c[left], d[left], h[left]
+        bw += 2.0
+        dw *= an
+        dw += bw
+        _lentz_floor(dw)
+        np.divide(an, cw, out=cw)
+        cw += bw
+        _lentz_floor(cw)
+        np.divide(1.0, dw, out=dw)
+        np.multiply(dw, cw, out=tw)
+        hw *= tw
+        tw -= 1.0
+        done = lanes.converged(np.abs(tw, out=tw) < _REL_EPS)
+        if done.size:
+            out[lanes.order[done]] = h[done]
         i += 1
-    out[lanes] = _hand_off(_upper_cf, eta, i, lanes, z[lanes], b, c, d, h)
+    at, lane = lanes.remaining()
+    out[lane] = _hand_off(_upper_cf, eta, i, lane, z[lane], b[at], c[at], d[at], h[at])
     return out
 
 
@@ -300,7 +364,9 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
                        e_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _series_pair at every lane of z, given ln z and e**z there; a lane leaves at
     # the term where _series_pair returns, or goes on in _series_pair once at most
-    # _HANDOFF_LANES are left or the budget is spent
+    # _HANDOFF_LANES are left or the budget is spent.  The smallest z converge first
+    lanes = _Lanes(z)
+    z, ln_z = lanes.sort(z), lanes.sort(ln_z)  # e_z stays in lane order
     q = 0.0
     for c in _RGAMMA_TAYLOR:
         q = q * s + c
@@ -313,25 +379,28 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
     lead_g = _per_element(math.exp, y) / rgamma
     tol = 0.1 * _REL_EPS * lead_g
     f, g = np.empty_like(z), np.empty_like(z)
-    lanes = np.arange(z.size)
-    term = np.ones_like(z)
+    term, u = np.ones_like(z), np.empty_like(z)
     sum_f, sum_g = np.zeros_like(z), np.zeros_like(z)
     k = 0.0
-    while lanes.size > _HANDOFF_LANES and k < _MAX_ITER:
+    while lanes.live > _HANDOFF_LANES and k < _MAX_ITER:
+        lo = lanes.lo  # the same arithmetic as _series_pair, in place on the window
+        tw, uw, fw, gw = term[lo:], u[lo:], sum_f[lo:], sum_g[lo:]
         k += 1.0
-        term = term * (-z / k)
-        u = term / (s + k)
-        sum_f = sum_f + u
-        sum_g = sum_g + k * u
-        done = (-tol < term) & (term < tol)
-        if done.any():
-            f[lanes[done]] = e_z[done] * (lead_f[done] - sum_f[done])
-            g[lanes[done]] = e_z[done] * (lead_g[done] + sum_g[done])
-            left = ~done
-            lanes, z, e_z, term, tol = lanes[left], z[left], e_z[left], term[left], tol[left]
-            sum_f, sum_g, lead_f, lead_g = sum_f[left], sum_g[left], lead_f[left], lead_g[left]
-    f[lanes], g[lanes] = np.reshape(_hand_off(_series_pair, s, k, lanes, z, term, sum_f,
-                                              sum_g, tol, lead_f, lead_g), (-1, 2)).T
+        tw *= np.divide(z[lo:], -k, out=uw)  # -z / k, exactly
+        np.divide(tw, s + k, out=uw)
+        fw += uw
+        uw *= k
+        gw += uw
+        # -tol < term < tol, as |term| < tol at any tol
+        done = lanes.converged(np.abs(tw, out=uw) < tol[lo:])
+        if done.size:
+            lane = lanes.order[done]
+            f[lane] = e_z[lane] * (lead_f[done] - sum_f[done])
+            g[lane] = e_z[lane] * (lead_g[done] + sum_g[done])
+    at, lane = lanes.remaining()
+    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, s, k, lane, z[at], term[at],
+                                            sum_f[at], sum_g[at], tol[at], lead_f[at],
+                                            lead_g[at]), (-1, 2)).T
     return f, g
 
 

@@ -59,6 +59,16 @@ EXIT_3_CASES = [
     (["--alpha", "60", "--beta", "1e-5", "--gamma", "0.1",
       "--x-min", "0", "--x-max", "2", "--step", "1"],
      "at age 0: shape -600.0 is over 500 steps below the series (z=0.0001)"),
+    # beta e**(gamma x) overflows at age 110, and e**(gamma x) does not
+    (["--alpha", "0", "--beta", "1e300", "--gamma", "1",
+      "--x-min", "10", "--x-max", "110", "--step", "100"],
+     "at age 110: beta * e**(gamma_exp * x) is too large at this age: the value "
+     "overflows"),
+    # alpha + beta e**(gamma x) overflows, and every other value is finite
+    (["--alpha", "1e300", "--beta", "1.7976931348623157e308", "--gamma", "1e300",
+      "--x-min", "0", "--x-max", "0", "--step", "1"],
+     "at age 0: beta * e**(gamma_exp * x) is too large at this age: the value "
+     "overflows"),
 ]
 
 # (basis, delta, grid flags) that exit 3 with the scalar API's first failure
@@ -774,6 +784,9 @@ class TestExitCodes:
              "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
             ["--alpha", "0", "--beta", "0.000012", "--gamma", "0.101314", "--delta", "0",
              "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
+            # the shape 1 - (alpha + delta)/gamma overflows to -inf
+            ["--alpha", "1", "--beta", "0", "--gamma", "5e-324", "--delta", "0",
+             "--x-min", "0", "--x-max", "0", "--step", "1", "--diagnostics"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "inf", "--step", "1"],
             REMARK_FLAGS + ["--x-min", "0", "--x-max", "1e300", "--step", "1e-300"],
             *NON_FINITE_STEP_AND_TOL,

@@ -34,6 +34,7 @@ from gmlife import (
     life_table,
     ln_gamma_fn,
     mc_remaining_life,
+    mc_remaining_life_table,
     mortality_rate,
     mortality_rates,
     positive_shape_check,
@@ -178,3 +179,37 @@ def test_monte_carlo_where_gamma_x_overflows():
     for x in (1.0, 2.0):
         with pytest.raises(OverflowError, match="math range error"):
             mc_remaining_life(GmParams(0.0, 1e-3, 1e308), x, 1000, np.random.default_rng(0))
+
+
+def test_one_error_where_beta_e_gamma_x_overflows():
+    # e**(gamma x) = e**110 is finite and beta e**(gamma x) is not: every value
+    # that reads it raises one OverflowError, with one text, and a table names the
+    # age's lane; survival and D underflow to 0
+    params, x = GmParams(0.0, 1e300, 1.0), 110.0
+    rng = np.random.default_rng
+    calls = {
+        "mortality_rate": lambda: mortality_rate(params, x),
+        "remaining_life": lambda: remaining_life(params, x),
+        "annuity": lambda: annuity(params, 0.03, x),
+        "ageing_factor": lambda: ageing_factor(params, 0.03, x),
+        "commutation_n": lambda: commutation_n(params, 0.03, x),
+        "commutation_m": lambda: commutation_m(params, 0.03, x),
+        "commutation_row": lambda: commutation_row(params, 0.03, x),
+        "mc_remaining_life": lambda: mc_remaining_life(params, x, 1000, rng(0)),
+    }
+    tables = {
+        "mortality_rates": lambda: mortality_rates(params, [0.0, x]),
+        "life_table": lambda: life_table(params, 0.03, [0.0, x]),
+        "mc_remaining_life_table": lambda: mc_remaining_life_table(params, [0.0, x],
+                                                                   1000, rng(0)),
+    }
+    texts = set()
+    for name, call in {**calls, **tables}.items():
+        with pytest.raises(OverflowError) as exc:
+            call()
+        texts.add(str(exc.value))
+        if name in tables:
+            assert exc.value.lane == 1, name
+    assert len(texts) == 1, texts
+    assert survival(params, x) == 0.0
+    assert commutation_d(params, 0.03, x) == 0.0

@@ -68,15 +68,23 @@ def assert_table_matches_scalar(params, rate, xs):
 
 
 def test_benchmark_grid_every_column():
-    # the table workload's 11,001 ages, and the verify workload's 110 (0.13 to
-    # 109.13), whose 19 lanes above the split go to the scalar loop at once
-    for xs in (0.0 + np.arange(11_001) * 0.01, 0.13 + np.arange(110) * 1.0):
+    # the table workload's 11,001 ages, the same reversed (the twins take their
+    # lanes in z order, so each lane's place in the loop changes), and the verify
+    # workload's 110 (0.13 to 109.13), whose 19 lanes above the split go to the
+    # scalar loop at once
+    grid = 0.0 + np.arange(11_001) * 0.01
+    for xs in (grid, grid[::-1], 0.13 + np.arange(110) * 1.0):
         for rate in (0.0, DELTA, 2.0 * DELTA):
             assert_table_matches_scalar(BASIS, rate, xs)
         undiscounted = life_table(BASIS, 0.0, xs)
         assert_bits_equal(undiscounted["D"], [survival(BASIS, x) for x in xs.tolist()], "l")
         assert_bits_equal(undiscounted["a_bar"],
                           [remaining_life(BASIS, x) for x in xs.tolist()], "e_x")
+    for rate in (0.0, DELTA, 2.0 * DELTA):
+        forward, reversed_ = life_table(BASIS, rate, grid), life_table(BASIS, rate, grid[::-1])
+        for name in COLUMNS:
+            assert_bits_equal(reversed_[name], forward[name][::-1],
+                              f"{name} reversed at rate {rate}")
 
 
 def _x_at(z, params):
@@ -124,7 +132,7 @@ def tables(draw):
     return params, rate, xs
 
 
-# 200 ages from z = 1.1 to 50: the fraction hands off at iteration 46, at 32 lanes
+# 200 ages from z = 1.1 to 50: the fraction hands off at iteration 41, at 40 lanes
 MID_LOOP = (BASIS, DELTA, np.linspace(_x_at(1.1, BASIS), _x_at(50.0, BASIS), 200))
 
 
@@ -200,7 +208,7 @@ def test_rates_share_one_grid(case):
 
 def test_stall_after_the_handoff_names_its_age(monkeypatch):
     # MID_LOOP's ages from z = 50 down to 1.1, with 60 iterations of the fraction:
-    # the default width hands off at iteration 46 and the last 15 lanes stall in
+    # the default width hands off at iteration 41 and the last 15 lanes stall in
     # the scalar loop.  The first of them in lane order is named, as at width 0
     params, rate, xs = MID_LOOP
     xs = xs[::-1]
@@ -225,6 +233,11 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
 # live when the budget is spent: the scalar loop takes them over with none left
 @example(-0.3, np.geomspace(1.1, 50.0, 200).tolist(), 12)
 @example(-0.3, np.geomspace(1e-3, 1.09, 200).tolist(), 12)
+# the twins sort their lanes by z, stably: z descending, all equal on each side of
+# the split, and each z twice, far apart, on both sides of it
+@example(-0.3, np.geomspace(50.0, 1e-3, 200).tolist(), 500)
+@example(-0.3, [0.5] * 100 + [5.0] * 100, 500)
+@example(-0.3, np.geomspace(1e-2, 1e2, 100).tolist() * 2, 500)
 def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
     # every shape that shares the split, up to 0.1, and so every base shape of the
     # series: those in [0.1, 1/2) are one step down from shapes in [-0.9, -0.5).

@@ -303,7 +303,8 @@ def test_table_rejects_what_the_scalar_call_rejects():
     # 7000 when beta is 1e10
     xs = [40.0, 7000.0, 8000.0]
     for params, lane, text in ((BASIS, 2, "math range error"),
-                               (GmParams(0.001, 1e10, 0.101314), 1, "beta must be finite")):
+                               (GmParams(0.001, 1e10, 0.101314), 1,
+                                r"beta \* e\*\*\(gamma_exp \* x\) is too large")):
         with pytest.raises((OverflowError, ValueError), match=text) as exc:
             mc_remaining_life_table(params, xs, 1000, np.random.default_rng(0))
         assert exc.value.lane == lane
