@@ -15,8 +15,8 @@ quadrature oracle, appending relative-difference columns and failing
 reports a seeded Monte-Carlo estimate of e_x as a deviation in standard
 errors (informational; seed set with ``--seed``).
 
-A table is computed as columns, one evaluation per rate per table over
-the whole age grid, every rate from one set of rate-free per-age terms (as
+A table is computed as columns, one evaluation per table over the whole
+age grid at every rate, from one set of rate-free per-age terms (as
 :func:`gmlife.life.life_table` does for one rate), and written a block of
 rows at a time by one loop: CSV by :func:`gmlife.formatting.format_cells`, in
 numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row,
@@ -43,8 +43,8 @@ Exit 3
 names the first age at which the scalar API raises, taking a row's calls in
 column order (rate delta, rate 0, twice the rate, then the oracles), and
 that call's error.  The columns find it on their own: a batch that fails
-names a lane, an age at which the scalar call raises the same, and the ages
-before it run again.
+names a lane, an age at which the scalar call raises the same, the ages
+before it run again, and then mu, which comes first in a row, at that age.
 """
 
 from __future__ import annotations
@@ -61,16 +61,20 @@ import numpy as np
 
 from . import life, oracle
 from .life import _life_tables  # by name: perfbench/tracing.py swaps cli.life for __all__
-from .mortality import GmParams, _check_args, _finite_hazards, mortality_rate, survival
+from .mortality import (GmParams, _check_args, _finite_hazards, mortality_rate, mortality_rates,
+                        survival)
 from .special import ConvergenceError
 
 __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
 # At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
-# emitted, and computing them peaks at ~292 MB RSS (~262 MB plain), the age grid
+# emitted, and computing them peaks at ~270 MB RSS (~255 MB plain), the age grid
 # shared by the rates (~38 B a row, freed once the columns are done), mu, made
-# from the grid, and the batch twins' lane order and window included.  Emitting
+# from the grid, and the batch twins' lane order and window included.  Where
+# every age takes the continued fraction (the worked basis from age 90), the
+# peak is ~335 MB (~252 MB plain): the fraction holds its state for the lanes of
+# all the rates at once.  Emitting
 # on two threads keeps up to _EMIT_WINDOW blocks in flight, a formatter peak of
 # ~8 MB (~4 MB serially) whatever the row count
 _MAX_ROWS = 1_000_000
@@ -225,9 +229,14 @@ def _compute_columns(params: GmParams, args, xs: np.ndarray) -> dict[str, np.nda
             cols.update(_verify_columns(params, args, cols))
     except (OverflowError, ConvergenceError, ValueError) as exc:
         # the scalar API raises exc at age xs[exc.lane], and in its row order only
-        # an earlier age can fail first: the ages before it run again
+        # an earlier age, or mu at that age, can fail first: the ages before it run
+        # again, then mu at it
         if exc.lane:
             _compute_columns(params, args, xs[:exc.lane])
+        try:
+            mortality_rates(params, xs[exc.lane:exc.lane + 1])
+        except OverflowError as mu_exc:
+            raise _NumericalFailure(xs[exc.lane], mu_exc) from mu_exc
         raise _NumericalFailure(xs[exc.lane], exc) from exc
     # perfbench/tracing.py times the mortality layer through these two names, so
     # each is called once per table until it reads counters (ROADMAP §1)

@@ -29,12 +29,13 @@ of z formed, so values hold about 1e-14 relative accuracy long after
 survival has vanished (checked to z ~ 1e40); below that a series smooth
 through the poles of Gamma gives it, so no shape needs a special case.
 
-There is one evaluation per rate per table.  At one age, one gamma
-product gives D, N, M, a_bar and the ageing factor.  At one rate the shape
--r is fixed and only z varies with age, so :func:`life_table` evaluates
-every age of a table in one numpy pass of the batch twins in
-:mod:`gmlife.special`, bit for bit the scalar values.  Arguments are
-validated once, at the public API.
+There is one evaluation per table.  At one age, one gamma product gives
+D, N, M, a_bar and the ageing factor.  At one rate the shape -r is fixed
+and only z varies with age, so a table is one shape per rate over one grid
+of z, and the batch twins in :mod:`gmlife.special` evaluate every age at
+every rate in one call: one numpy pass of the continued fraction for all
+the rates, and one of the series per rate, bit for bit the scalar values.
+Arguments are validated once, at the public API.
 
 The rates of one table share the arrays that do not depend on the rate,
 computed once per table in ``_life_tables``: the senescent part
@@ -44,7 +45,8 @@ z and the force of mortality mu (bit for bit
 (:func:`gmlife.special._split`) between the continued fraction (z >= 1.1)
 and the series, the same at every shape -r <= 0, with ln z and e**z at the
 series' ages.  Per rate remain the discount term -(alpha + rate) x and the
-exp of D's exponent, and the gamma product at the rate's shape.  One helper
+exp of D's exponent, the gamma product's shape and its series below the
+split.  One helper
 turns (D, a_bar, xi) into the columns for the scalar and the batch code
 alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
 entry.
@@ -119,21 +121,27 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     return _finite_a_bar(f / gam), 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
 
 
-def _evaluate_table(params: GmParams, a: float, z: np.ndarray,
-                    split: tuple) -> tuple[np.ndarray, ...]:
-    # _evaluate at every age, given its gamma argument z and split = _split(z), in
-    # the same operation order
+def _evaluate_table(params: GmParams, a_values: list[float], z: np.ndarray,
+                    split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (a_bar, xi) = _evaluate at every age for each combined flat hazard a of
+    # a_values, given the ages' gamma argument z and split = _split(z), in the same
+    # operation order.  Where some a's pair fails, this raises what the first such a
+    # raises, with its lane
     if params.beta == 0.0:
-        # no age changes the pair: _evaluate's at age 0, or its error, named at lane 0
-        pair = _on_lanes((0,), _evaluate, params, a, 0.0) if z.size else (0.0, 0.0)
-        return tuple(np.full(z.shape, v) for v in pair)
+        # no age changes a pair: _evaluate's at age 0, or its error, named at lane 0
+        pairs = [_on_lanes((0,), _evaluate, params, a, 0.0) if z.size else (0.0, 0.0)
+                 for a in a_values]
+        return [tuple(np.full(z.shape, v) for v in pair) for pair in pairs]
     gam = params.gamma_exp
-    f, xi = _ratio_pair_array(-(a / gam), z, split)
-    a_bar = f / gam
-    overflowed = np.flatnonzero(~np.isfinite(a_bar))
-    if overflowed.size:  # _evaluate raises at each such lane; name the first
-        _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
-    return a_bar, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))
+    pairs = []
+    # one pair at a time: a's a_bar check comes before the pairs of the a after it
+    for f, xi in _ratio_pair_array([-(a / gam) for a in a_values], z, split):
+        a_bar = f / gam
+        overflowed = np.flatnonzero(~np.isfinite(a_bar))
+        if overflowed.size:  # _evaluate raises at each such lane; name the first
+            _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
+        pairs.append((a_bar, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))))
+    return pairs
 
 
 def e0(params: GmParams) -> float:
@@ -260,10 +268,11 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
             z = _finite_hazards(np.divide(scaled, gam, out=scaled))
         else:
             mu, z = np.full(xs.shape, params.alpha), np.zeros_like(xs)
-        split = _split(z)
+        # D, whose exponent is never positive, raises nothing: it comes after the pairs
+        pairs = _evaluate_table(params, [params.alpha + rate for rate in rates], z, _split(z))
         return mu, [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), _columns(
-            params, rate, _discounted_survival_array(params, rate, xs, senescent),
-            *_evaluate_table(params, params.alpha + rate, z, split)))) for rate in rates]
+            params, rate, _discounted_survival_array(params, rate, xs, senescent), *pair)))
+            for rate, pair in zip(rates, pairs)]
 
 
 def positive_shape_check(params: GmParams, delta: float) -> float:

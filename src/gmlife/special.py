@@ -25,14 +25,21 @@ terms, and over shapes in [-1/2, 1/2) the series is within 4.9e-15 of
 alternating sum cancels (3.8e-14 at z = 2) and the fraction wins.
 
 Batch twins of the series, the continued fraction and the downward steps
-evaluate one shape at a numpy array of arguments, for a table of ages at
-one rate.  They do the scalar code's arithmetic in the same order, lane by
+evaluate a table's shapes, one per rate, at a numpy array of arguments, its
+ages.  They do the scalar code's arithmetic in the same order, lane by
 lane, and take exp, expm1 and log from ``math`` per element (numpy's own
 may differ from the C library in the last bit), so every lane is bit for
 bit the scalar result.  The split of the arguments between the fraction
 and the series, with ln z and e**z on the series' lanes, is the same at
 every shape up to 0.1, so a table of several rates computes it once
-(``_split``) and passes it to the batch pair.  The twins only converge
+(``_split``) and passes it to the batch pair.  The fraction gives each lane
+its own shape, and runs once over the lanes of every rate above the split,
+one rate after another: its cost is mostly numpy's fixed cost per
+iteration, which the rates then share.  The series and the downward steps
+run once per rate: stacked, the series was no faster and took more
+memory.  Errors keep the rates' order, as if each rate ran alone in turn:
+a rate's pair fails only once the pairs of the rates before it are
+taken, though the fraction has run for all of them.  The twins only converge
 lanes: a lane leaves the numpy loop at the term or iteration where the
 scalar loop would return.  Each twin first sorts its lanes by z, stably,
 in the order they converge (the fraction's largest z first, the series'
@@ -90,11 +97,14 @@ _CF_MIN_Z = 1.1
 # A batch twin hands its live lanes to the scalar loop once at most this many are
 # left: one numpy iteration costs about as much as this many scalar lane-iterations.
 # Scalar / numpy time on N equal lanes (2-core VM, Python 3.11, best of 7 x 20
-# calls, 2-4 runs): fraction 0.71-0.78 at N = 32, 0.91-0.97 at 40, 1.03-1.12 at
-# 48; series 0.91-1.54 at 32, 0.99-1.17 at 40, 1.13-2.05 at 48.  Re-measure from
-# src at each N, with W = 0 (numpy) and W = 10**6 (scalar):
+# calls, 2 runs of 3): fraction 0.66-0.71 at N = 32, 0.79-0.83 at 40, 0.93-1.03 at 48;
+# series 0.89-0.96 at 32, 0.82-1.15 at 40, 1.19-1.35 at 48.  The fraction's
+# iteration forms each lane's -i * (i - eta), two array operations more, so it
+# breaks even nearer 48, the series nearer 40.  Re-measure from src at each N,
+# with W = 0 (numpy) and W = 10**6 (scalar):
 #   python3 -m timeit -s "import numpy as np, gmlife.special as sp; sp._HANDOFF_LANES
-#   = W; z = np.full(N, 1.1)" "sp._upper_cf_array(-0.272, z)"           (76 iterations)
+#   = W; z = np.full(N, 1.1); e = np.full(N, -0.272)" "sp._upper_cf_array(e, z)"
+#                                                                        (76 iterations)
 #   ... z = np.full(N, 1.09); l, e = np.log(z), np.exp(z)" "sp._series_pair_array(
 #   0.466, z, l, e)"                                                          (19 terms)
 _HANDOFF_LANES = 40
@@ -122,14 +132,16 @@ def _on_lanes(index, fn, *args):
         raise _at_lane(exc, index[getattr(exc, "lane", 0)])
 
 
-def _hand_off(loop, shape: float, start, lanes: np.ndarray, z: np.ndarray, *state) -> list:
+def _hand_off(loop, start, lanes: np.ndarray, shape: np.ndarray, z: np.ndarray,
+              *state) -> list:
     # loop(shape, z, (start, *state)) at each live lane, in lane order: the scalar
-    # loop's remaining iterations from the lane's state; a lane that stalls raises
+    # loop's remaining iterations from the lane's shape, argument and state; a lane
+    # that stalls raises
     results = []
-    for lane, z_lane, *lane_state in zip(lanes.tolist(), z.tolist(),
-                                         *(v.tolist() for v in state)):
+    for lane, shape_lane, z_lane, *lane_state in zip(
+            lanes.tolist(), shape.tolist(), z.tolist(), *(v.tolist() for v in state)):
         try:
-            results.append(loop(shape, z_lane, (start, *lane_state)))
+            results.append(loop(shape_lane, z_lane, (start, *lane_state)))
         except ConvergenceError as exc:
             raise _at_lane(exc, lane)
     return results
@@ -261,30 +273,33 @@ def _lentz_floor(a: np.ndarray) -> None:
         a[np.abs(a) < _LENTZ_TINY] = _LENTZ_TINY
 
 
-def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
-    # _upper_cf at every lane of z; a lane leaves at the iteration where _upper_cf
-    # returns, or goes on in _upper_cf once at most _HANDOFF_LANES are left or the
-    # budget is spent.  The largest z converge first
+def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # _upper_cf at every lane of (eta, z), each lane with its own shape; a lane
+    # leaves at the iteration where _upper_cf returns, or goes on in _upper_cf once
+    # at most _HANDOFF_LANES are left or the budget is spent.  The largest z
+    # converge first
     out = np.empty_like(z)
     lanes = _Lanes(-z)
-    b = lanes.sort(z) + 1.0 - eta
+    shape = lanes.sort(eta)
+    b = lanes.sort(z) + 1.0 - shape
     c = np.full(z.size, 1.0 / _LENTZ_TINY)
     d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
-    h, delta = d.copy(), np.empty_like(z)
+    h, an = d.copy(), np.empty_like(z)
     i = 1
     while lanes.live > _HANDOFF_LANES and i <= _MAX_ITER:
         lo = lanes.lo  # the same arithmetic as _upper_cf, in place on the window
-        bw, cw, dw, hw, tw = b[lo:], c[lo:], d[lo:], h[lo:], delta[lo:]
-        an = -i * (i - eta)
+        bw, cw, dw, hw, aw = b[lo:], c[lo:], d[lo:], h[lo:], an[lo:]
+        np.subtract(i, shape[lo:], out=aw)  # -i * (i - eta), as a double times -i
+        aw *= -i
         bw += 2.0
-        dw *= an
+        dw *= aw
         dw += bw
         _lentz_floor(dw)
-        np.divide(an, cw, out=cw)
+        np.divide(aw, cw, out=cw)
         cw += bw
         _lentz_floor(cw)
         np.divide(1.0, dw, out=dw)
-        np.multiply(dw, cw, out=tw)
+        tw = np.multiply(dw, cw, out=aw)  # delta, in the place of an, now read
         hw *= tw
         tw -= 1.0
         done = lanes.converged(np.abs(tw, out=tw) < _REL_EPS)
@@ -292,7 +307,7 @@ def _upper_cf_array(eta: float, z: np.ndarray) -> np.ndarray:
             out[lanes.order[done]] = h[done]
         i += 1
     at, lane = lanes.remaining()
-    out[lane] = _hand_off(_upper_cf, eta, i, lane, z[lane], b[at], c[at], d[at], h[at])
+    out[lane] = _hand_off(_upper_cf, i, lane, eta[lane], z[lane], b[at], c[at], d[at], h[at])
     return out
 
 
@@ -398,9 +413,9 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
             f[lane] = e_z[lane] * (lead_f[done] - sum_f[done])
             g[lane] = e_z[lane] * (lead_g[done] + sum_g[done])
     at, lane = lanes.remaining()
-    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, s, k, lane, z[at], term[at],
-                                            sum_f[at], sum_g[at], tol[at], lead_f[at],
-                                            lead_g[at]), (-1, 2)).T
+    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, k, lane, np.full(lane.size, s),
+                                            z[at], term[at], sum_f[at], sum_g[at], tol[at],
+                                            lead_f[at], lead_g[at]), (-1, 2)).T
     return f, g
 
 
@@ -419,32 +434,54 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     return f, g
 
 
-def _ratio_pair_array(eta: float, z: np.ndarray,
-                      split: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # _ratio_pair at every lane of a 1-D array z, for one shape eta <= _CF_MIN_Z - 1,
-    # given split = _split(z), which several such shapes share; lane for lane
-    # bit-identical.  Where eta or a lane of z fails the argument checks of
-    # exp_scaled_upper_inc_gamma, they raise at the first such lane
-    ok = (z > 0.0) & (z < math.inf) & math.isfinite(eta)  # nan fails too
-    if not ok.all():
-        lane = ok.argmin()
-        _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
-    f, g = np.empty_like(z), np.empty_like(z)
+def _upper_cf_rows(etas: list, z: np.ndarray) -> tuple:
+    # (rows, stall): _upper_cf_array at every lane of z for each shape of etas, as one
+    # call on the lanes of all shapes, shape-major.  One row per shape before the
+    # first at which a lane stalls, and that stall, its lane an index in z, or None
+    try:
+        return _upper_cf_array(np.repeat(etas, z.size), np.tile(z, len(etas))).reshape(
+            len(etas), z.size), None
+    except ConvergenceError as exc:
+        # the shapes before the stall converged at every lane: their rows again
+        stalled, exc.lane = divmod(exc.lane, z.size)
+        return _upper_cf_rows(etas[:stalled], z)[0], exc
+
+
+def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple):
+    # (f, g) = _ratio_pair at every lane of a 1-D array z for each shape of etas in
+    # turn, all <= _CF_MIN_Z - 1, given split = _split(z), which they share; lane
+    # for lane bit-identical.  The continued fraction runs once, over every shape's
+    # lanes above the split; the series and the downward steps run per shape.  A
+    # generator: where a shape's pair fails, it raises, once the pairs of the shapes
+    # before it are taken, what _ratio_pair raises at the shape's first failing lane:
+    # the argument checks of exp_scaled_upper_inc_gamma, then the fraction, the step
+    # budget and the series
+    cf, low, ln_z, e_z = split
+    ok = (z > 0.0) & (z < math.inf)  # nan fails too
+    # the shapes before the first that fails the argument checks at some lane
+    checked = next((k for k, eta in enumerate(etas)
+                    if not (math.isfinite(eta) and ok.all())), len(etas))
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        cf, low, ln_z, e_z = split
-        if cf.size:
-            h = _on_lanes(cf, _upper_cf_array, eta, z[cf])
-            f[cf], g[cf] = h, 1.0 + eta * h
-        if low.size:
-            z = z[low]
-            n = math.ceil(-0.5 - eta)
-            if n > _MAX_ITER:  # _ratio_pair raises the step budget at the first lane
-                _on_lanes(low, _ratio_pair, eta, float(z[0]))
-            fl, gl = _on_lanes(low, _series_pair_array, eta + n, z, ln_z, e_z)
-            for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
-                fl, gl = (z * fl - 1.0) / (eta + j), z * fl
-            f[low], g[low] = fl, gl
-    return f, g
+        h, stall = _upper_cf_rows(etas[:checked], z[cf])
+    z_low = z[low]
+    for k, eta in enumerate(etas):
+        if k == checked:
+            lane = ok.argmin() if math.isfinite(eta) else 0
+            _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
+        if k == len(h):
+            raise _at_lane(stall, cf[stall.lane])
+        f, g = np.empty_like(z), np.empty_like(z)
+        with np.errstate(all="ignore"):
+            f[cf], g[cf] = h[k], 1.0 + eta * h[k]
+            if low.size:
+                n = math.ceil(-0.5 - eta)
+                if n > _MAX_ITER:  # _ratio_pair raises the step budget at the first lane
+                    _on_lanes(low, _ratio_pair, eta, float(z_low[0]))
+                fl, gl = _on_lanes(low, _series_pair_array, eta + n, z_low, ln_z, e_z)
+                for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
+                    fl, gl = (z_low * fl - 1.0) / (eta + j), z_low * fl
+                f[low], g[low] = fl, gl
+        yield f, g
 
 
 def _check_finite_args(eta: float, z: float) -> None:

@@ -69,6 +69,12 @@ EXIT_3_CASES = [
       "--x-min", "0", "--x-max", "0", "--step", "1"],
      "at age 0: beta * e**(gamma_exp * x) is too large at this age: the value "
      "overflows"),
+    # alpha + beta e**(gamma x) overflows, and the fraction at shape -1e308 stalls at
+    # the same age: mu comes first in a row
+    (["--alpha", "1e308", "--beta", "1e308", "--gamma", "1",
+      "--x-min", "0", "--x-max", "0", "--step", "1"],
+     "at age 0: beta * e**(gamma_exp * x) is too large at this age: the value "
+     "overflows"),
 ]
 
 # (basis, delta, grid flags) that exit 3 with the scalar API's first failure
@@ -87,6 +93,8 @@ SCALAR_API_CASES = [
     # D overflows at age 8000, but the step budget fails at age 0 already
     (GmParams(81.0, 0.01, 0.101314), 0.0,
      ["--x-min", "0", "--x-max", "8000", "--step", "1000"]),
+    # mu overflows at age 0, where every rate's fraction stalls too
+    (GmParams(1e308, 1e308, 1.0), 0.0, ["--x-min", "0", "--x-max", "0", "--step", "1"]),
 ]
 
 # argv whose grid or tolerance is not finite and which _validate must reject:
@@ -599,7 +607,7 @@ class TestOneEngine:
                 assert row["l"] == survival(p, x), (p, x)
                 assert row["mu"] == mortality_rate(p, x), (p, x)
 
-    def test_one_engine_evaluation_per_rate(self, capsys, monkeypatch):
+    def test_one_engine_evaluation_per_table(self, capsys, monkeypatch):
         real = gmlife.life._evaluate_table
         calls = []
 
@@ -614,15 +622,16 @@ class TestOneEngine:
         # every scalar route (remaining_life, annuity, _commutation) looks _evaluate
         # up when it runs, so this also catches a per-row _commutation beside the batch
         monkeypatch.setattr(gmlife.life, "_evaluate", per_row)
-        # one batch per table for a_bar at delta (which also gives the ageing
-        # factor), e_x, and a_bar at 2 * delta, whatever the row count
-        for extra, per_table in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
+        # one batch per table, whatever the row count, for the pairs of every rate:
+        # a_bar at delta (which also gives the ageing factor), e_x, and a_bar at
+        # 2 * delta
+        for extra, rates in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
             for step in ("10", "0.1"):
                 calls.clear()
                 code, _, _ = run_cli(capsys, "--x-min", "0", "--x-max", "110",
                                      "--step", step, *extra)
                 assert code == 0
-                assert len(calls) == per_table, (extra, step)
+                assert [len(args[1]) for args in calls] == [rates], (extra, step)
 
     def test_verify_calls_each_oracle_once_per_table(self, capsys, monkeypatch):
         calls = []

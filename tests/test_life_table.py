@@ -158,6 +158,9 @@ def _table_or_error(fn, *args):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tables())
 @example(MID_LOOP)
+# the verify grid: 19 fraction lanes a rate, which alone go to the scalar loop at
+# once, and together, 57, enter the numpy loop
+@example((BASIS, DELTA, 0.13 + np.arange(110) * 1.0))
 # e**(gamma x) overflows in the shared step, from age 7005.8 on
 @example((BASIS, DELTA, np.linspace(7000.0, 7010.0, 5)))
 # beta = 0 and alpha = 0: only rate 0, the second, fails
@@ -222,6 +225,23 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
     life._commutation(params, rate, xs[184])
 
 
+def test_rates_fail_in_rate_order(monkeypatch):
+    # the fraction runs once for every rate of the table, but its stall at rate 0
+    # (lane 26, at 12 iterations) comes after the first rate's step budget, which
+    # fails at the first age below the split: the first rate's error is raised
+    params = GmParams(0.03, 1e-4, 0.1)
+    rates = (29.97, 0.0, 59.94)
+    xs = np.linspace(_x_at(0.5, params), _x_at(3.0, params), 60)
+    monkeypatch.setattr(special, "_MAX_ITER", 12)
+    for width in WIDTHS:
+        monkeypatch.setattr(special, "_HANDOFF_LANES", width)
+        with pytest.raises(ConvergenceError) as exc:
+            life._life_tables(params, rates, xs)
+        assert str(exc.value).startswith("shape -300.0 is over 12 steps below the series")
+        assert exc.value.lane == 0, width
+        assert_raises_the_same(exc.value, life._commutation, params, rates[0], xs[0])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(st.floats(-15.0, 0.1), st.floats(-2000.0, -400.0)),
        st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30), st.sampled_from((500, 12)))
@@ -255,7 +275,7 @@ def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
             note(f"handoff width {width}")
             mp.setattr(special, "_HANDOFF_LANES", width)
             try:
-                f, g = _ratio_pair_array(eta, z, _split(z))
+                [(f, g)] = _ratio_pair_array([eta], z, _split(z))
             except ConvergenceError as exc:
                 assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
                 named.add(exc.lane)
@@ -270,7 +290,7 @@ def test_subnormal_shapes_match_scalar():
     # base shapes where -s ln z is 0 or subnormal take -ln z in both twins
     zs = np.array([1e-8, 0.5, 1.0, 1.05, 3.0])
     for eta in (-5e-324, 5e-324, -1e-319, -1e-300, 0.0):
-        f, g = _ratio_pair_array(eta, zs, _split(zs))
+        [(f, g)] = _ratio_pair_array([eta], zs, _split(zs))
         want = np.array([_ratio_pair(eta, v) for v in zs.tolist()])
         assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
         assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
