@@ -41,10 +41,12 @@ shape that is not, among them), 3 numerical failure at some age (a mu, D, N,
 M, a_bar or e_x that would overflow among them), 4 verification failure.
 Exit 3
 names the first age at which the scalar API raises, taking a row's calls in
-column order (rate delta, rate 0, twice the rate, then the oracles), and
-that call's error.  The columns find it on their own: a batch that fails
-names a lane, an age at which the scalar call raises the same, the ages
-before it run again, and then mu, which comes first in a row, at that age.
+column order (l and mu, rate delta, rate 0, twice the rate, then the
+oracles), and that call's error.  A batch that fails raises at some failing
+age, not necessarily the first: it names a lane, an age at which a scalar
+call raises the same.  Only this module orders failures: the ages before
+that lane run again, and then its row, mu and one table per rate, in column
+order.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ __all__ = ["main"]
 
 _MC_SAMPLES = 20_000
 # At this cap a --double-rate --diagnostics table holds ~92 MB of columns until
-# emitted, and computing them peaks at ~270 MB RSS (~255 MB plain), the age grid
+# emitted, and computing them peaks at ~255 MB RSS (~239 MB plain), the age grid
 # shared by the rates (~38 B a row, freed once the columns are done), mu, made
 # from the grid, and the batch twins' lane order and window included.  Where
 # every age takes the continued fraction (the worked basis from age 90), the
-# peak is ~335 MB (~252 MB plain): the fraction holds its state for the lanes of
+# peak is ~330 MB (~246 MB plain): the fraction holds its state for the lanes of
 # all the rates at once.  Emitting
 # on two threads keeps up to _EMIT_WINDOW blocks in flight, a formatter peak of
 # ~8 MB (~4 MB serially) whatever the row count
@@ -130,7 +132,7 @@ def _validate(args) -> GmParams:
     try:
         params = GmParams(args.alpha, args.beta, args.gamma)
         # the library's check of each rate of the table
-        for rate in (args.delta,) + ((2.0 * args.delta,) if args.double_rate else ()):
+        for rate in _rates(args):
             _check_args(params, rate)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -150,17 +152,20 @@ def _validate(args) -> GmParams:
         raise _UsageError(f"--verify-tol must be finite and > 0, got {args.verify_tol}")
     if args.verify and args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    if args.diagnostics and args.gamma <= 0.0:
-        raise _UsageError("--diagnostics needs gamma > 0 (shape is undefined)")
-    if args.diagnostics and args.alpha + args.delta <= 0.0:
-        raise _UsageError("--diagnostics needs alpha + delta > 0 (ageing factor "
-                          "is undefined)")
     if args.diagnostics:
         try:  # the shape is a property of the basis and the rate, not of an age
             life.positive_shape_check(params, args.delta)
-        except OverflowError as exc:
+        except (ValueError, OverflowError) as exc:
             raise _UsageError(str(exc)) from exc
+        if args.alpha + args.delta <= 0.0:
+            raise _UsageError("--diagnostics needs alpha + delta > 0 (ageing factor "
+                              "is undefined)")
     return params
+
+
+def _rates(args) -> tuple[float, ...]:
+    # the table's rates in column order: delta, 0 (l and e_x), and twice delta
+    return (args.delta, 0.0) + ((2.0 * args.delta,) if args.double_rate else ())
 
 
 def _row_count(x_min: float, x_max: float, step: float) -> int:
@@ -185,12 +190,11 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _closed_forms(params: GmParams, args, xs: np.ndarray) -> dict[str, np.ndarray]:
-    # one table per rate, and mu, from one age grid, in the scalar API's row order:
-    # at rate 0 its D is l and its a_bar is e_x.  mu overflows where D or the
-    # tables fail with the same error, or else (alpha + beta e**(gamma x) past the
-    # largest double, the tables finite) alone, where it is checked last
-    rates = (args.delta, 0.0) + ((2.0 * args.delta,) if args.double_rate else ())
-    mu, (single, undiscounted, *double) = _life_tables(params, rates, xs)
+    # one table per rate, and mu, from one age grid: at rate 0 its D is l and its
+    # a_bar is e_x.  mu overflows where D or the tables fail with the same error,
+    # or else (alpha + beta e**(gamma x) past the largest double, the tables finite)
+    # alone, where it is checked last
+    mu, (single, undiscounted, *double) = _life_tables(params, _rates(args), xs)
     cols = {"x": xs, "l": undiscounted["D"], "mu": _finite_hazards(mu)}
     cols.update((k, single[k]) for k in ("D", "N", "M", "a_bar"))
     cols["e_x"] = undiscounted["a_bar"]
@@ -228,16 +232,21 @@ def _compute_columns(params: GmParams, args, xs: np.ndarray) -> dict[str, np.nda
         if args.verify:
             cols.update(_verify_columns(params, args, cols))
     except (OverflowError, ConvergenceError, ValueError) as exc:
-        # the scalar API raises exc at age xs[exc.lane], and in its row order only
-        # an earlier age, or mu at that age, can fail first: the ages before it run
-        # again, then mu at it
-        if exc.lane:
-            _compute_columns(params, args, xs[:exc.lane])
+        # some call of the scalar API raises exc at age xs[exc.lane].  The ages
+        # before it run again, then that age's row call by call, in column order:
+        # mu, then each rate's table.  The first error wins; where none fails, exc
+        # is an oracle's, which comes last in a row
+        lane = exc.lane
+        if lane:
+            _compute_columns(params, args, xs[:lane])
+        row = xs[lane:lane + 1]
         try:
-            mortality_rates(params, xs[exc.lane:exc.lane + 1])
-        except OverflowError as mu_exc:
-            raise _NumericalFailure(xs[exc.lane], mu_exc) from mu_exc
-        raise _NumericalFailure(xs[exc.lane], exc) from exc
+            mortality_rates(params, row)
+            for rate in _rates(args):
+                life.life_table(params, rate, row)
+        except (OverflowError, ConvergenceError, ValueError) as first:
+            raise _NumericalFailure(xs[lane], first) from first
+        raise _NumericalFailure(xs[lane], exc) from exc
     # perfbench/tracing.py times the mortality layer through these two names, so
     # each is called once per table until it reads counters (ROADMAP §1)
     survival(params, args.x_min)

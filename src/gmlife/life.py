@@ -49,7 +49,8 @@ exp of D's exponent, the gamma product's shape and its series below the
 split.  One helper
 turns (D, a_bar, xi) into the columns for the scalar and the batch code
 alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
-entry.
+entry, which, where tables fail, raises at a lane where some rate's table
+raises the same: not necessarily the first rate's error, nor the first age's.
 
 Where a_bar is not a finite double (1/a at beta = 0 with a tiny a, or
 f/gamma with a tiny gamma), or the gamma argument z is not (where
@@ -123,24 +124,24 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
 
 def _evaluate_table(params: GmParams, a_values: list[float], z: np.ndarray,
                     split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    # (a_bar, xi) = _evaluate at every age for each combined flat hazard a of
-    # a_values, given the ages' gamma argument z and split = _split(z), in the same
-    # operation order.  Where some a's pair fails, this raises what the first such a
-    # raises, with its lane
+    # [(a_bar, xi)] = [_evaluate at every age for each combined flat hazard a of
+    # a_values], given the ages' gamma argument z and split = _split(z), in the same
+    # operation order.  Where some a's pair fails, this raises, at a lane, what
+    # _evaluate raises there at some such a
     if params.beta == 0.0:
         # no age changes a pair: _evaluate's at age 0, or its error, named at lane 0
         pairs = [_on_lanes((0,), _evaluate, params, a, 0.0) if z.size else (0.0, 0.0)
                  for a in a_values]
         return [tuple(np.full(z.shape, v) for v in pair) for pair in pairs]
     gam = params.gamma_exp
-    pairs = []
-    # one pair at a time: a's a_bar check comes before the pairs of the a after it
-    for f, xi in _ratio_pair_array([-(a / gam) for a in a_values], z, split):
-        a_bar = f / gam
+    pairs = _ratio_pair_array([-(a / gam) for a in a_values], z, split)
+    for a_bar, xi in pairs:  # (f, xi), made (a_bar, xi) in place
+        a_bar /= gam
         overflowed = np.flatnonzero(~np.isfinite(a_bar))
         if overflowed.size:  # _evaluate raises at each such lane; name the first
             _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
-        pairs.append((a_bar, np.where(xi < 0.0, 0.0, np.where(xi > 1.0, 1.0, xi))))
+        xi[xi < 0.0] = 0.0
+        xi[xi > 1.0] = 1.0
     return pairs
 
 
@@ -251,8 +252,8 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
     # rates], with the rate-free terms computed once: the senescent part of every D
     # exponent, e**(gamma x), which gives mu and the gamma argument z (0 at beta = 0,
     # where no rate reads it), and z's split.  Rates and ages are checked first;
-    # then, where some rate's table raises, this raises what the first such rate
-    # raises, with its lane
+    # then, where some rate's table raises, this raises at a lane where some rate's
+    # table raises the same
     for rate in rates:
         _check_args(params, rate)
     xs = _check_ages(xs)

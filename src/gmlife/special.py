@@ -37,22 +37,21 @@ its own shape, and runs once over the lanes of every rate above the split,
 one rate after another: its cost is mostly numpy's fixed cost per
 iteration, which the rates then share.  The series and the downward steps
 run once per rate: stacked, the series was no faster and took more
-memory.  Errors keep the rates' order, as if each rate ran alone in turn:
-a rate's pair fails only once the pairs of the rates before it are
-taken, though the fraction has run for all of them.  The twins only converge
-lanes: a lane leaves the numpy loop at the term or iteration where the
-scalar loop would return.  Each twin first sorts its lanes by z, stably,
-in the order they converge (the fraction's largest z first, the series'
-smallest first), then updates its state in place on the window of lanes
-from the first live one on: a lane that converges is recorded and marked
-dead, the window's start moves past the dead prefix, and no iteration
-copies the live lanes.  Once at most _HANDOFF_LANES lanes are live (below
-that width numpy's fixed cost per iteration exceeds the scalar loop's per
-lane) or the budget is spent, each live lane goes on, in the caller's lane
-order, in the scalar loop itself, resumed from its state; where there are
-no more lanes than that to begin with, nothing is sorted.  A lane live at
-the budget's end resumes with no iterations left and the scalar loop
-raises: every failure is raised, and worded, by the scalar code.
+memory.  A batch that fails raises at some failing lane what the scalar
+call raises there, with the lane's index in the caller's array; which lane
+and rate fail first is for the caller to find (the CLI does, for exit 3).
+The twins only converge lanes: a lane leaves the numpy loop at the term or
+iteration where the scalar loop would return.  Each twin first sorts its
+lanes by z, stably, in the order they converge (the fraction's largest z
+first, the series' smallest first), then updates its state in place on the
+window of lanes from the first live one on: a lane that converges is
+recorded and marked dead, the window's start moves past the dead prefix,
+and no iteration copies the live lanes.  Once at most _HANDOFF_LANES lanes
+are live (below that width numpy's fixed cost per iteration exceeds the
+scalar loop's per lane) or the budget is spent, each live lane goes on, in
+the caller's lane order, in the scalar loop itself, resumed from its state.
+A lane live at the budget's end resumes with no iterations left and the
+scalar loop raises: every failure is raised, and worded, by the scalar code.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -151,16 +150,11 @@ class _Lanes:
     # The lanes of a batch twin in the order they converge, sorted once, stably, by
     # key.  The live ones lie in the window [lo:], whose start moves past each
     # converged prefix; a lane that converges out of order stays in it, dead, until
-    # the lanes before it have converged too.  Where the numpy loop never runs (at
-    # most _HANDOFF_LANES lanes), nothing is sorted
+    # the lanes before it have converged too
     def __init__(self, key: np.ndarray) -> None:
-        self.live, self.lo, self.order = key.size, 0, None
-        if key.size > _HANDOFF_LANES:
-            self.order = np.argsort(key, kind="stable")
-            self.alive = np.ones(key.size, bool)
-
-    def sort(self, a: np.ndarray) -> np.ndarray:
-        return a if self.order is None else a[self.order]
+        self.live, self.lo = key.size, 0
+        self.order = np.argsort(key, kind="stable")
+        self.alive = np.ones(key.size, bool)
 
     def converged(self, done: np.ndarray) -> np.ndarray:
         # the positions of the lanes that leave, given done over the window
@@ -177,9 +171,6 @@ class _Lanes:
 
     def remaining(self) -> tuple[np.ndarray, np.ndarray]:
         # (positions, lanes) of the live lanes, in lane order
-        if self.order is None:
-            at = np.arange(self.live)
-            return at, at
         at = self.lo + np.flatnonzero(self.alive[self.lo:])
         lane = self.order[at]
         by_lane = np.argsort(lane)
@@ -280,8 +271,8 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     # converge first
     out = np.empty_like(z)
     lanes = _Lanes(-z)
-    shape = lanes.sort(eta)
-    b = lanes.sort(z) + 1.0 - shape
+    shape = eta[lanes.order]
+    b = z[lanes.order] + 1.0 - shape
     c = np.full(z.size, 1.0 / _LENTZ_TINY)
     d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
     h, an = d.copy(), np.empty_like(z)
@@ -381,7 +372,7 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
     # the term where _series_pair returns, or goes on in _series_pair once at most
     # _HANDOFF_LANES are left or the budget is spent.  The smallest z converge first
     lanes = _Lanes(z)
-    z, ln_z = lanes.sort(z), lanes.sort(ln_z)  # e_z stays in lane order
+    z, ln_z = z[lanes.order], ln_z[lanes.order]  # e_z stays in lane order
     q = 0.0
     for c in _RGAMMA_TAYLOR:
         q = q * s + c
@@ -434,45 +425,32 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     return f, g
 
 
-def _upper_cf_rows(etas: list, z: np.ndarray) -> tuple:
-    # (rows, stall): _upper_cf_array at every lane of z for each shape of etas, as one
-    # call on the lanes of all shapes, shape-major.  One row per shape before the
-    # first at which a lane stalls, and that stall, its lane an index in z, or None
-    try:
-        return _upper_cf_array(np.repeat(etas, z.size), np.tile(z, len(etas))).reshape(
-            len(etas), z.size), None
-    except ConvergenceError as exc:
-        # the shapes before the stall converged at every lane: their rows again
-        stalled, exc.lane = divmod(exc.lane, z.size)
-        return _upper_cf_rows(etas[:stalled], z)[0], exc
-
-
-def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple):
-    # (f, g) = _ratio_pair at every lane of a 1-D array z for each shape of etas in
-    # turn, all <= _CF_MIN_Z - 1, given split = _split(z), which they share; lane
-    # for lane bit-identical.  The continued fraction runs once, over every shape's
-    # lanes above the split; the series and the downward steps run per shape.  A
-    # generator: where a shape's pair fails, it raises, once the pairs of the shapes
-    # before it are taken, what _ratio_pair raises at the shape's first failing lane:
-    # the argument checks of exp_scaled_upper_inc_gamma, then the fraction, the step
-    # budget and the series
+def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple) -> list:
+    # [(f, g)] = [_ratio_pair at every lane of a 1-D array z for each shape of etas],
+    # all <= _CF_MIN_Z - 1, given split = _split(z), which they share; lane for lane
+    # bit-identical.  The continued fraction runs once, over every shape's lanes above
+    # the split; the series and the downward steps run per shape.  Where some shape's
+    # pair fails, this raises, at a lane of z, what exp_scaled_upper_inc_gamma raises
+    # there at that shape
     cf, low, ln_z, e_z = split
     ok = (z > 0.0) & (z < math.inf)  # nan fails too
-    # the shapes before the first that fails the argument checks at some lane
-    checked = next((k for k, eta in enumerate(etas)
-                    if not (math.isfinite(eta) and ok.all())), len(etas))
-    with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-        h, stall = _upper_cf_rows(etas[:checked], z[cf])
-    z_low = z[low]
-    for k, eta in enumerate(etas):
-        if k == checked:
+    # exp_scaled_upper_inc_gamma's argument checks first: a lane at z = 0 is on
+    # neither side of the split
+    for eta in etas:
+        if z.size and not (math.isfinite(eta) and ok.all()):
             lane = ok.argmin() if math.isfinite(eta) else 0
             _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
-        if k == len(h):
-            raise _at_lane(stall, cf[stall.lane])
-        f, g = np.empty_like(z), np.empty_like(z)
-        with np.errstate(all="ignore"):
-            f[cf], g[cf] = h[k], 1.0 + eta * h[k]
+    z_low = z[low]
+    pairs = []
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+        try:  # one fraction over every shape's lanes above the split, shape-major
+            h = _upper_cf_array(np.repeat(etas, cf.size), np.tile(z[cf], len(etas)))
+        except ConvergenceError as exc:  # tiled lane k is lane cf[k % cf.size] of z
+            raise _at_lane(exc, cf[exc.lane % cf.size])
+        h = h.reshape(len(etas), cf.size)
+        for eta, h_eta in zip(etas, h):
+            f, g = np.empty_like(z), np.empty_like(z)
+            f[cf], g[cf] = h_eta, 1.0 + eta * h_eta
             if low.size:
                 n = math.ceil(-0.5 - eta)
                 if n > _MAX_ITER:  # _ratio_pair raises the step budget at the first lane
@@ -481,7 +459,8 @@ def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple):
                 for j in range(n - 1, -1, -1):  # _ratio_pair's loop, unchanged
                     fl, gl = (z_low * fl - 1.0) / (eta + j), z_low * fl
                 f[low], g[low] = fl, gl
-        yield f, g
+            pairs.append((f, g))
+    return pairs
 
 
 def _check_finite_args(eta: float, z: float) -> None:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import gmlife.cli
 import gmlife.life
 import gmlife.oracle
+import gmlife.special
 from gmlife import (
     ageing_factor,
     annuity,
@@ -95,6 +96,11 @@ SCALAR_API_CASES = [
      ["--x-min", "0", "--x-max", "8000", "--step", "1000"]),
     # mu overflows at age 0, where every rate's fraction stalls too
     (GmParams(1e308, 1e308, 1.0), 0.0, ["--x-min", "0", "--x-max", "0", "--step", "1"]),
+    # at age 0 the shape at twice the rate overflows to -inf, whose argument check
+    # the batch runs first, and the rate-delta column, first in a row, is over the
+    # step budget
+    (GmParams(0.0, 1e-301, 1e-300), 1.5e8,
+     ["--x-min", "0", "--x-max", "2", "--step", "1", "--double-rate"]),
 ]
 
 # argv whose grid or tolerance is not finite and which _validate must reject:
@@ -174,6 +180,26 @@ def scalar_api_failure(params, delta, grid):
         except (OverflowError, ConvergenceError, ValueError) as exc:
             return f"gmlife: numerical failure at age {x:g}: {exc}\n"
     return None
+
+
+@st.composite
+def failing_double_rate_case(draw):
+    # (max_iter, handoff width, basis, delta, grid flags): up to 6 ages from z in
+    # 0.01..2.  The shape at twice the rate is 1.1 to 2 step budgets below the
+    # series, and alpha takes a share of it: below the split the step budget fails
+    # at rate 2 delta, and at rate delta where that share is large.  At 12
+    # iterations the fraction and the series stall near the split too
+    max_iter = draw(st.sampled_from((12, 500)))
+    gam, beta = draw(st.floats(0.05, 0.5)), draw(st.floats(1e-5, 1e-2))
+    size, share = draw(st.floats(1.1, 2.0)) * max_iter * gam, draw(st.floats(0.0, 1.0))
+    alpha, delta = share * size, (1.0 - share) * size / 2.0
+    x_min = max(0.0, math.log(draw(st.floats(0.01, 2.0)) * gam / beta) / gam)
+    step = draw(st.floats(0.2, 2.0)) / gam
+    rows = draw(st.integers(1, 6))
+    grid = ["--x-min", repr(x_min), "--x-max", repr(x_min + (rows - 0.5) * step),
+            "--step", repr(step), "--double-rate"]
+    return (max_iter, draw(st.sampled_from((0, gmlife.special._HANDOFF_LANES))),
+            GmParams(alpha, beta, gam), delta, grid)
 
 
 def run_cli(capsys, *extra):
@@ -809,6 +835,14 @@ class TestExitCodes:
             assert err.strip(), argv
         assert "1e+300 rows; at most 1000000" in err
 
+    def test_diagnostics_shape_is_checked_by_the_library(self, capsys):
+        # --diagnostics' shape check is life.positive_shape_check's, with its text
+        code = main(["--alpha", "0.01", "--beta", "0", "--gamma", "0", "--delta", "0.03",
+                     "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "gmlife: error: shape is only defined for gamma_exp > 0\n")
+
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(edge_argv())
     @example(NON_FINITE_STEP_AND_TOL[0])
@@ -860,6 +894,36 @@ class TestExitCodes:
             err = capsys.readouterr().err
             want = scalar_api_failure(*case)
             assert code == 3 and err == want, (err, want)
+
+    @pytest.mark.parametrize("width", [0, 40, 10**6])
+    def test_a_row_fails_in_column_order(self, capsys, monkeypatch, width):
+        # at 12 iterations the fraction stalls at rate 0 from z = 1.1 up, and the
+        # step budget of rate delta's shape -300 fails at the first age, z = 0.5:
+        # rate delta comes first in a row, so its error is named
+        monkeypatch.setattr(gmlife.special, "_MAX_ITER", 12)
+        monkeypatch.setattr(gmlife.special, "_HANDOFF_LANES", width)
+        code = main(["--alpha", "0.03", "--beta", "1e-4", "--gamma", "0.1", "--delta",
+                     "29.97", "--double-rate", "--x-min", "62.1460897625", "--x-max", "80.06",
+                     "--step", "0.3"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "gmlife: numerical failure at age 62.1461: shape -300.0 is over 12 steps "
+            "below the series (z=0.5000004389140968)\n")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(failing_double_rate_case())
+    def test_a_failing_double_rate_table_matches_the_scalar_api(self, case):
+        # the batch raises at some failing lane of some rate; the CLI names the
+        # scalar API's first failing call, row by row in column order
+        max_iter, width, *case = case
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gmlife.special, "_MAX_ITER", max_iter)
+            mp.setattr(gmlife.special, "_HANDOFF_LANES", width)
+            want = scalar_api_failure(*case)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(scalar_api_argv(*case))
+        assert (code, err.getvalue()) == ((3, want) if want else (0, "")), case
 
     def test_numerical_failure_makes_no_scalar_call(self, capsys, monkeypatch):
         # the batch columns alone name the failing age: with the scalar life and

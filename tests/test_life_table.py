@@ -225,23 +225,6 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
     life._commutation(params, rate, xs[184])
 
 
-def test_rates_fail_in_rate_order(monkeypatch):
-    # the fraction runs once for every rate of the table, but its stall at rate 0
-    # (lane 26, at 12 iterations) comes after the first rate's step budget, which
-    # fails at the first age below the split: the first rate's error is raised
-    params = GmParams(0.03, 1e-4, 0.1)
-    rates = (29.97, 0.0, 59.94)
-    xs = np.linspace(_x_at(0.5, params), _x_at(3.0, params), 60)
-    monkeypatch.setattr(special, "_MAX_ITER", 12)
-    for width in WIDTHS:
-        monkeypatch.setattr(special, "_HANDOFF_LANES", width)
-        with pytest.raises(ConvergenceError) as exc:
-            life._life_tables(params, rates, xs)
-        assert str(exc.value).startswith("shape -300.0 is over 12 steps below the series")
-        assert exc.value.lane == 0, width
-        assert_raises_the_same(exc.value, life._commutation, params, rates[0], xs[0])
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(st.floats(-15.0, 0.1), st.floats(-2000.0, -400.0)),
        st.lists(st.floats(1e-8, 1e3), min_size=1, max_size=30), st.sampled_from((500, 12)))
@@ -286,6 +269,24 @@ def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
     assert len(named) <= 1, named
 
 
+@pytest.mark.parametrize("etas", [(-30.0, -0.3), (-30.0, -100.0), (-30.0, -30.0, -0.3)])
+def test_a_later_shape_that_fails_names_a_lane_of_z(monkeypatch, etas):
+    # at 30 iterations shape -30 converges at every lane, while -0.3's fraction
+    # stalls from the split up and -100 is over the step budget below it.  The
+    # fraction runs once over every shape's lanes, and its stall is named as a
+    # lane of z: one at which the failing shape's scalar pair raises the same
+    z = np.concatenate([np.geomspace(1e-3, 1.09, 30), np.geomspace(1.1, 50.0, 60)])
+    monkeypatch.setattr(special, "_MAX_ITER", 30)
+    for v in z.tolist():
+        _ratio_pair(etas[0], v)
+    for width in WIDTHS:
+        monkeypatch.setattr(special, "_HANDOFF_LANES", width)
+        with pytest.raises(ConvergenceError) as exc:
+            _ratio_pair_array(list(etas), z, _split(z))
+        assert 0 <= exc.value.lane < z.size, width
+        assert_raises_the_same(exc.value, _ratio_pair, etas[-1], z.tolist()[exc.value.lane])
+
+
 def test_subnormal_shapes_match_scalar():
     # base shapes where -s ln z is 0 or subnormal take -ln z in both twins
     zs = np.array([1e-8, 0.5, 1.0, 1.05, 3.0])
@@ -309,15 +310,17 @@ def test_rejects_what_the_scalar_api_rejects():
 
 
 def test_empty_ages_return_empty_columns():
-    # with no senescence and no flat hazard every age fails, and an empty table
-    # has none: it returns empty columns, as it does on any other basis
-    params = GmParams(0.0, 0.0, 0.1)
-    _, shared = life._life_tables(params, (0.03, 0.0), [])
-    for tables in ([life_table(params, 0.0, [])], shared):
-        for table in tables:
-            for name in COLUMNS:
-                assert table[name].shape == (0,), name
-    with pytest.raises(ValueError) as exc:
-        life._life_tables(params, (0.03, 0.0), [2.0, 5.0])
-    assert exc.value.lane == 0
-    assert_raises_the_same(exc.value, life._commutation, params, 0.0, 2.0)
+    # with no senescence and no flat hazard every age fails, and so does every age
+    # where the shape -(alpha + rate)/gamma overflows to -inf; an empty table has
+    # none: it returns empty columns, as it does on any other basis
+    for params in (GmParams(0.0, 0.0, 0.1), GmParams(1.0, 1e-320, 5e-324)):
+        _, shared = life._life_tables(params, (0.03, 0.0), [])
+        for tables in ([life_table(params, 0.0, [])], shared):
+            for table in tables:
+                for name in COLUMNS:
+                    assert table[name].shape == (0,), name
+        with pytest.raises(ValueError) as exc:
+            life._life_tables(params, (0.03, 0.0), [2.0, 5.0])
+        assert exc.value.lane == 0
+        assert_raises_the_same(exc.value, life._commutation, params, 0.0, 2.0)
+
