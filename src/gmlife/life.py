@@ -39,18 +39,18 @@ Arguments are validated once, at the public API.
 
 The rates of one table share the arrays that do not depend on the rate,
 computed once per table in ``_life_tables``: the senescent part
-(beta/gamma) expm1(gamma x) of every D exponent; e**(gamma x), which gives
-z and the force of mortality mu (bit for bit
-:func:`gmlife.mortality.mortality_rates`); and z's split
-(:func:`gmlife.special._split`) between the continued fraction (z >= 1.1)
-and the series, the same at every shape -r <= 0, with ln z and e**z at the
-series' ages.  Per rate remain the discount term -(alpha + rate) x and the
-exp of D's exponent, the gamma product's shape and its series below the
-split.  One helper
-turns (D, a_bar, xi) into the columns for the scalar and the batch code
-alike.  :func:`life_table` is the one-rate case of the CLI's several-rate
-entry, which, where tables fail, raises at a lane where some rate's table
-raises the same: not necessarily the first rate's error, nor the first age's.
+(beta/gamma) expm1(gamma x) of every D exponent, and e**(gamma x), which
+gives z and the force of mortality mu (bit for bit
+:func:`gmlife.mortality.mortality_rates`).  The batch pair splits z once
+for every rate between the continued fraction (z >= 1.1) and the series,
+the same at every shape -r <= 0.  Per rate remain the discount term
+-(alpha + rate) x and the exp of D's exponent, the gamma product's shape
+and its series below the split.  At beta = 0 no age changes a_bar or xi,
+so the pair at age 0 fills the table.  One helper turns (D, a_bar, xi) into
+the columns for the scalar and the batch code alike.  :func:`life_table` is
+the one-rate case of the CLI's several-rate entry, which, where tables fail,
+raises at a lane where some rate's table raises the same: not necessarily
+the first rate's error, nor the first age's.
 
 Where a_bar is not a finite double (1/a at beta = 0 with a tiny a, or
 f/gamma with a tiny gamma), or the gamma argument z is not (where
@@ -72,7 +72,7 @@ from .mortality import (GmParams, _check_age, _check_ages, _check_args,
                         _discounted_survival, _discounted_survival_array, _finite_hazard,
                         _finite_hazards, _gamma_x, _gamma_xs, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import (_on_lanes, _per_element, _ratio_pair_array, _split,
+from .special import (_on_lanes, _per_element, _ratio_pair_array,
                       exp_scaled_upper_inc_gamma)
 
 __all__ = [
@@ -120,29 +120,6 @@ def _evaluate(params: GmParams, a: float, x: float) -> tuple[float, float]:
     # (gamma * a_bar, xi): both come out of one evaluation, neither by subtraction
     f, xi = exp_scaled_upper_inc_gamma(-(a / gam), z, pair=True)
     return _finite_a_bar(f / gam), 0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi
-
-
-def _evaluate_table(params: GmParams, a_values: list[float], z: np.ndarray,
-                    split: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    # [(a_bar, xi)] = [_evaluate at every age for each combined flat hazard a of
-    # a_values], given the ages' gamma argument z and split = _split(z), in the same
-    # operation order.  Where some a's pair fails, this raises, at a lane, what
-    # _evaluate raises there at some such a
-    if params.beta == 0.0:
-        # no age changes a pair: _evaluate's at age 0, or its error, named at lane 0
-        pairs = [_on_lanes((0,), _evaluate, params, a, 0.0) if z.size else (0.0, 0.0)
-                 for a in a_values]
-        return [tuple(np.full(z.shape, v) for v in pair) for pair in pairs]
-    gam = params.gamma_exp
-    pairs = _ratio_pair_array([-(a / gam) for a in a_values], z, split)
-    for a_bar, xi in pairs:  # (f, xi), made (a_bar, xi) in place
-        a_bar /= gam
-        overflowed = np.flatnonzero(~np.isfinite(a_bar))
-        if overflowed.size:  # _evaluate raises at each such lane; name the first
-            _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
-        xi[xi < 0.0] = 0.0
-        xi[xi > 1.0] = 1.0
-    return pairs
 
 
 def e0(params: GmParams) -> float:
@@ -250,13 +227,14 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
                  xs) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     # mortality_rates(params, xs) and [life_table(params, rate, xs) for rate in
     # rates], with the rate-free terms computed once: the senescent part of every D
-    # exponent, e**(gamma x), which gives mu and the gamma argument z (0 at beta = 0,
-    # where no rate reads it), and z's split.  Rates and ages are checked first;
-    # then, where some rate's table raises, this raises at a lane where some rate's
-    # table raises the same
+    # exponent, and e**(gamma x), which gives mu and the gamma argument z.  Rates and
+    # ages are checked first; then, where some rate's table raises, this raises at a
+    # lane where some rate's table raises the same.  (a_bar, xi) at every age for
+    # each rate is _evaluate's, in the same operation order
     for rate in rates:
         _check_args(params, rate)
     xs = _check_ages(xs)
+    a_values = [params.alpha + rate for rate in rates]
     gam = params.gamma_exp
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
         senescent = _senescent_exponent_array(params, xs)
@@ -267,10 +245,21 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
             mu = params.alpha + scaled
             # in place, one array fewer alive; where z overflows every rate raises
             z = _finite_hazards(np.divide(scaled, gam, out=scaled))
+            pairs = _ratio_pair_array([-(a / gam) for a in a_values], z)
+            for a_bar, xi in pairs:  # (f, xi), made (a_bar, xi) in place
+                a_bar /= gam
+                overflowed = np.flatnonzero(~np.isfinite(a_bar))
+                if overflowed.size:  # _evaluate raises at each such lane; name the first
+                    _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
+                xi[xi < 0.0] = 0.0
+                xi[xi > 1.0] = 1.0
         else:
-            mu, z = np.full(xs.shape, params.alpha), np.zeros_like(xs)
+            # no age changes a pair: _evaluate's at age 0, or its error, named at lane 0
+            mu = np.full(xs.shape, params.alpha)
+            pairs = [_on_lanes((0,), _evaluate, params, a, 0.0) if xs.size else (0.0, 0.0)
+                     for a in a_values]
+            pairs = [[np.full(xs.shape, v) for v in pair] for pair in pairs]
         # D, whose exponent is never positive, raises nothing: it comes after the pairs
-        pairs = _evaluate_table(params, [params.alpha + rate for rate in rates], z, _split(z))
         return mu, [dict(zip(("D", "N", "M", "a_bar", "ageing_factor"), _columns(
             params, rate, _discounted_survival_array(params, rate, xs, senescent), *pair)))
             for rate, pair in zip(rates, pairs)]

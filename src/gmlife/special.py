@@ -31,13 +31,12 @@ lane, and take exp, expm1 and log from ``math`` per element (numpy's own
 may differ from the C library in the last bit), so every lane is bit for
 bit the scalar result.  The split of the arguments between the fraction
 and the series, with ln z and e**z on the series' lanes, is the same at
-every shape up to 0.1, so a table of several rates computes it once
-(``_split``) and passes it to the batch pair.  The fraction gives each lane
-its own shape, and runs once over the lanes of every rate above the split,
-one rate after another: its cost is mostly numpy's fixed cost per
-iteration, which the rates then share.  The series and the downward steps
-run once per rate: stacked, the series was no faster and took more
-memory.  A batch that fails raises at some failing lane what the scalar
+every shape up to 0.1, so the batch pair computes it once for all of a
+table's shapes, one per rate.  The fraction gives each lane its own shape,
+and runs once over the lanes of every rate above the split, one rate after
+another: its cost is mostly numpy's fixed cost per iteration, which the
+rates then share.  The series and the downward steps run once per rate:
+stacked, the series was no faster and took more memory.  A batch that fails raises at some failing lane what the scalar
 call raises there, with the lane's index in the caller's array; which lane
 and rate fail first is for the caller to find (the CLI does, for exit 3).
 The twins only converge lanes: a lane leaves the numpy loop at the term or
@@ -49,9 +48,11 @@ recorded and marked dead, the window's start moves past the dead prefix,
 and no iteration copies the live lanes.  Once at most _HANDOFF_LANES lanes
 are live (below that width numpy's fixed cost per iteration exceeds the
 scalar loop's per lane) or the budget is spent, each live lane goes on, in
-the caller's lane order, in the scalar loop itself, resumed from its state.
-A lane live at the budget's end resumes with no iterations left and the
-scalar loop raises: every failure is raised, and worded, by the scalar code.
+the caller's lane order, in the scalar loop itself, resumed from its state;
+a twin given at most _HANDOFF_LANES lanes hands them all to the scalar loop
+at once, before it sorts them or builds any numpy state.  A lane live at the
+budget's end resumes with no iterations left and the scalar loop raises:
+every failure is raised, and worded, by the scalar code.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -131,16 +132,17 @@ def _on_lanes(index, fn, *args):
         raise _at_lane(exc, index[getattr(exc, "lane", 0)])
 
 
-def _hand_off(loop, start, lanes: np.ndarray, shape: np.ndarray, z: np.ndarray,
+def _hand_off(loop, lanes: np.ndarray, shape: np.ndarray, z: np.ndarray, start=None,
               *state) -> list:
     # loop(shape, z, (start, *state)) at each live lane, in lane order: the scalar
-    # loop's remaining iterations from the lane's shape, argument and state; a lane
-    # that stalls raises
+    # loop's remaining iterations from the lane's shape, argument and state, or with
+    # no start, the whole loop; a lane that stalls raises
     results = []
     for lane, shape_lane, z_lane, *lane_state in zip(
             lanes.tolist(), shape.tolist(), z.tolist(), *(v.tolist() for v in state)):
         try:
-            results.append(loop(shape_lane, z_lane, (start, *lane_state)))
+            results.append(loop(shape_lane, z_lane,
+                                None if start is None else (start, *lane_state)))
         except ConvergenceError as exc:
             raise _at_lane(exc, lane)
     return results
@@ -269,6 +271,8 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     # leaves at the iteration where _upper_cf returns, or goes on in _upper_cf once
     # at most _HANDOFF_LANES are left or the budget is spent.  The largest z
     # converge first
+    if z.size <= _HANDOFF_LANES:
+        return np.array(_hand_off(_upper_cf, np.arange(z.size), eta, z))
     out = np.empty_like(z)
     lanes = _Lanes(-z)
     shape = eta[lanes.order]
@@ -298,7 +302,7 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
             out[lanes.order[done]] = h[done]
         i += 1
     at, lane = lanes.remaining()
-    out[lane] = _hand_off(_upper_cf, i, lane, eta[lane], z[lane], b[at], c[at], d[at], h[at])
+    out[lane] = _hand_off(_upper_cf, lane, eta[lane], z[lane], i, b[at], c[at], d[at], h[at])
     return out
 
 
@@ -354,23 +358,14 @@ def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
     raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
 
 
-def _split(z: np.ndarray) -> tuple:
-    # (cf, low, ln_z, e_z): the lanes of an argument array z from _CF_MIN_Z, those of
-    # the continued fraction, and below it, those of the series (the lanes in
-    # (0, _CF_MIN_Z), so none the argument checks reject), with ln z and e**z at the
-    # series' lanes.  The split is the same at every shape eta <= _CF_MIN_Z - 1 (the
-    # shapes of life), so one table computes it once for all its rates
-    low = np.flatnonzero((z > 0.0) & (z < _CF_MIN_Z))
-    z_low = z[low]
-    return (np.flatnonzero(z >= _CF_MIN_Z), low, _per_element(math.log, z_low),
-            _per_element(math.exp, z_low))
-
-
 def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
                        e_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # _series_pair at every lane of z, given ln z and e**z there; a lane leaves at
     # the term where _series_pair returns, or goes on in _series_pair once at most
     # _HANDOFF_LANES are left or the budget is spent.  The smallest z converge first
+    if z.size <= _HANDOFF_LANES:
+        return np.reshape(_hand_off(_series_pair, np.arange(z.size), np.full(z.size, s), z),
+                          (-1, 2)).T
     lanes = _Lanes(z)
     z, ln_z = z[lanes.order], ln_z[lanes.order]  # e_z stays in lane order
     q = 0.0
@@ -404,8 +399,8 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
             f[lane] = e_z[lane] * (lead_f[done] - sum_f[done])
             g[lane] = e_z[lane] * (lead_g[done] + sum_g[done])
     at, lane = lanes.remaining()
-    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, k, lane, np.full(lane.size, s),
-                                            z[at], term[at], sum_f[at], sum_g[at], tol[at],
+    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, lane, np.full(lane.size, s), z[at],
+                                            k, term[at], sum_f[at], sum_g[at], tol[at],
                                             lead_f[at], lead_g[at]), (-1, 2)).T
     return f, g
 
@@ -425,14 +420,13 @@ def _ratio_pair(eta: float, z: float) -> tuple[float, float]:
     return f, g
 
 
-def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple) -> list:
+def _ratio_pair_array(etas: list, z: np.ndarray) -> list:
     # [(f, g)] = [_ratio_pair at every lane of a 1-D array z for each shape of etas],
-    # all <= _CF_MIN_Z - 1, given split = _split(z), which they share; lane for lane
-    # bit-identical.  The continued fraction runs once, over every shape's lanes above
-    # the split; the series and the downward steps run per shape.  Where some shape's
-    # pair fails, this raises, at a lane of z, what exp_scaled_upper_inc_gamma raises
-    # there at that shape
-    cf, low, ln_z, e_z = split
+    # all <= _CF_MIN_Z - 1; lane for lane bit-identical.  The split of z, the same at
+    # every such shape, is formed once: the continued fraction runs once, over every
+    # shape's lanes from _CF_MIN_Z up, and the series and the downward steps per shape
+    # below it, with ln z and e**z shared.  Where some shape's pair fails, this
+    # raises, at a lane of z, what exp_scaled_upper_inc_gamma raises there at that shape
     ok = (z > 0.0) & (z < math.inf)  # nan fails too
     # exp_scaled_upper_inc_gamma's argument checks first: a lane at z = 0 is on
     # neither side of the split
@@ -440,7 +434,9 @@ def _ratio_pair_array(etas: list, z: np.ndarray, split: tuple) -> list:
         if z.size and not (math.isfinite(eta) and ok.all()):
             lane = ok.argmin() if math.isfinite(eta) else 0
             _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
+    cf, low = np.flatnonzero(z >= _CF_MIN_Z), np.flatnonzero(ok & (z < _CF_MIN_Z))
     z_low = z[low]
+    ln_z, e_z = _per_element(math.log, z_low), _per_element(math.exp, z_low)
     pairs = []
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
         try:  # one fraction over every shape's lanes above the split, shape-major

@@ -28,8 +28,10 @@ from gmlife import (
     commutation_row,
     integrate_m,
     integrate_survival,
+    life_table,
     mc_remaining_life,
     mortality_rate,
+    positive_shape_check,
     remaining_life,
     survival,
 )
@@ -634,7 +636,7 @@ class TestOneEngine:
                 assert row["mu"] == mortality_rate(p, x), (p, x)
 
     def test_one_engine_evaluation_per_table(self, capsys, monkeypatch):
-        real = gmlife.life._evaluate_table
+        real = gmlife.life._ratio_pair_array
         calls = []
 
         def counting(*args):
@@ -644,11 +646,11 @@ class TestOneEngine:
         def per_row(*args):
             raise AssertionError("a table evaluated row by row")
 
-        monkeypatch.setattr(gmlife.life, "_evaluate_table", counting)
+        monkeypatch.setattr(gmlife.life, "_ratio_pair_array", counting)
         # every scalar route (remaining_life, annuity, _commutation) looks _evaluate
         # up when it runs, so this also catches a per-row _commutation beside the batch
         monkeypatch.setattr(gmlife.life, "_evaluate", per_row)
-        # one batch per table, whatever the row count, for the pairs of every rate:
+        # one batch per table, whatever the row count, for the shapes of every rate:
         # a_bar at delta (which also gives the ageing factor), e_x, and a_bar at
         # 2 * delta
         for extra, rates in ((["--double-rate", "--diagnostics"], 3), ([], 2)):
@@ -657,7 +659,41 @@ class TestOneEngine:
                 code, _, _ = run_cli(capsys, "--x-min", "0", "--x-max", "110",
                                      "--step", step, *extra)
                 assert code == 0
-                assert [len(args[1]) for args in calls] == [rates], (extra, step)
+                assert [len(args[0]) for args in calls] == [rates], (extra, step)
+
+    @pytest.mark.parametrize("width", [gmlife.special._HANDOFF_LANES, 0])
+    def test_small_tables_build_no_lane_state(self, capsys, monkeypatch, width):
+        # a batch twin given at most _HANDOFF_LANES lanes runs them all in the scalar
+        # loop before it sorts them: a one-age table (the series at age 40, the
+        # fraction at 95) and a one-row CLI run give the scalar API's bits without
+        # building _Lanes.  At width 0 every twin builds it, so this can fail
+        def no_lanes(key):
+            raise AssertionError("lane state built for a small table")
+
+        def outcome():
+            return (contextlib.nullcontext() if width else
+                    pytest.raises(AssertionError, match="lane state"))
+
+        monkeypatch.setattr(gmlife.special, "_Lanes", no_lanes)
+        monkeypatch.setattr(gmlife.special, "_HANDOFF_LANES", width)
+        p, delta = GmParams(0.001, 0.000012, 0.101314), 0.026559
+        for x in (40.0, 95.0):
+            row, double = (commutation_row(p, delta, x, double_rate=twice)
+                           for twice in (False, True))
+            want = {"D": row.d_val, "N": row.n_val, "M": row.m_val,
+                    "a_bar": annuity(p, delta, x), "ageing_factor": ageing_factor(p, delta, x)}
+            with outcome():
+                table = life_table(p, delta, [x])
+                assert {k: v.tolist() for k, v in table.items()} == {
+                    k: [v] for k, v in want.items()}, x
+            with outcome():
+                code, out, _ = run_cli(capsys, "--x-min", repr(x), "--x-max", repr(x),
+                                       "--step", "1", "--double-rate", "--diagnostics",
+                                       "--format", "json")
+                assert code == 0 and json.loads(out) == [{
+                    **want, "x": x, "l": survival(p, x), "mu": mortality_rate(p, x),
+                    "e_x": remaining_life(p, x), "D2": double.d_val, "N2": double.n_val,
+                    "M2": double.m_val, "shape": positive_shape_check(p, delta)}], x
 
     def test_verify_calls_each_oracle_once_per_table(self, capsys, monkeypatch):
         calls = []
@@ -948,3 +984,40 @@ class TestExitCodes:
             code = main(argv)
             assert code == 3 and capsys.readouterr().err == want, argv
             assert 1 <= len(passes) <= 2, argv
+
+
+def dispatched_cpu_features():
+    # the CPU features numpy dispatches to at run time that this CPU has: those
+    # NPY_DISABLE_CPU_FEATURES may switch off
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+class TestReproducibleBytes:
+    def test_tables_and_failures_do_not_depend_on_numpy_cpu_dispatch(self):
+        # tables and exit-3 text take every transcendental from math, so they are
+        # the same bytes on numpy's baseline code path as on its fastest one.
+        # --verify columns are not: the oracles use numpy's exp, expm1 and log1p,
+        # whose last bit may differ between the two paths, so they agree only to
+        # tolerance, and the verify run gives the same exit code and failing ages
+        features = dispatched_cpu_features()
+        if not features:
+            pytest.skip("numpy dispatches to no CPU feature here beyond its baseline")
+        grid = ["--x-min", "0", "--x-max", "110", "--step", "0.01"]
+        verify = REMARK_FLAGS + ["--x-min", "0.13", "--x-max", "109.13", "--step", "1",
+                                 "--verify", "--seed", "0"]
+        cases = [REMARK_FLAGS + grid + ["--double-rate", "--diagnostics"],
+                 REMARK_FLAGS + grid + ["--format", "json"],
+                 EXIT_3_CASES[-1][0], verify]
+        baseline = dict(src_env(), NPY_DISABLE_CPU_FEATURES=" ".join(features))
+        for argv in cases:
+            runs = [subprocess.run([sys.executable, "-m", "gmlife.cli", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+                    for env in (src_env(), baseline)]
+            assert runs[0].returncode in (0, 3) and runs[0].stdout + runs[0].stderr, argv
+            same = [(r.returncode, r.stderr, r.stdout if argv is not verify else None)
+                    for r in runs]
+            assert same[1] == same[0], (argv, features)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from gmlife import life, special
 from gmlife.life import life_table, remaining_life
 from gmlife.mortality import GmParams, mortality_rate, mortality_rates, survival
-from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array, _split
+from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array
 
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 DELTA = 0.026559
@@ -258,7 +258,7 @@ def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
             note(f"handoff width {width}")
             mp.setattr(special, "_HANDOFF_LANES", width)
             try:
-                [(f, g)] = _ratio_pair_array([eta], z, _split(z))
+                [(f, g)] = _ratio_pair_array([eta], z)
             except ConvergenceError as exc:
                 assert_raises_the_same(exc, _ratio_pair, eta, zs[exc.lane])
                 named.add(exc.lane)
@@ -282,7 +282,7 @@ def test_a_later_shape_that_fails_names_a_lane_of_z(monkeypatch, etas):
     for width in WIDTHS:
         monkeypatch.setattr(special, "_HANDOFF_LANES", width)
         with pytest.raises(ConvergenceError) as exc:
-            _ratio_pair_array(list(etas), z, _split(z))
+            _ratio_pair_array(list(etas), z)
         assert 0 <= exc.value.lane < z.size, width
         assert_raises_the_same(exc.value, _ratio_pair, etas[-1], z.tolist()[exc.value.lane])
 
@@ -291,7 +291,7 @@ def test_subnormal_shapes_match_scalar():
     # base shapes where -s ln z is 0 or subnormal take -ln z in both twins
     zs = np.array([1e-8, 0.5, 1.0, 1.05, 3.0])
     for eta in (-5e-324, 5e-324, -1e-319, -1e-300, 0.0):
-        [(f, g)] = _ratio_pair_array([eta], zs, _split(zs))
+        [(f, g)] = _ratio_pair_array([eta], zs)
         want = np.array([_ratio_pair(eta, v) for v in zs.tolist()])
         assert_bits_equal(f, want[:, 0], f"F at shape {eta}")
         assert_bits_equal(g, want[:, 1], f"zF(s+1) at shape {eta}")
