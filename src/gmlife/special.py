@@ -7,11 +7,11 @@ upper incomplete gamma function for arbitrary real shape at positive
 argument, including an exp-scaled variant that stays finite where the
 plain product e^z * Gamma(eta, z) would overflow.
 
-Gamma(eta, z) takes a modified Lentz continued fraction for
-z >= max(1.1, eta + 1), at any real shape.  Below that, shapes eta >= 1/2
-take Gamma(eta) * (1 - G(z; eta, 1)) with gamma_cdf's power series, and lower
-shapes one series that is smooth through the poles of Gamma (Gautschi, ACM
-TOMS 5:466, 1979); for a base shape s in [-1/2, 1/2)
+Gamma(eta, z) takes a plain Lentz continued fraction (no denominator can
+vanish, see _upper_cf) for z >= max(1.1, eta + 1), at any real shape.  Below
+that, shapes eta >= 1/2 take Gamma(eta) * (1 - G(z; eta, 1)) with gamma_cdf's
+power series, and lower shapes one series that is smooth through the poles
+of Gamma (Gautschi, ACM TOMS 5:466, 1979); for a base shape s in [-1/2, 1/2)
 
     Gamma(s, z) = (Gamma(1+s) - 1)/s - expm1(s ln z)/s
                   - z**s * sum_{k>=1} (-z)**k / (k! (s+k))
@@ -19,40 +19,42 @@ TOMS 5:466, 1979); for a base shape s in [-1/2, 1/2)
 with 1/Gamma(1+s) from its Taylor series about 0 (at s = 0 this is E1(z)),
 and a second sum in the same loop gives Gamma(s + 1, z).  Lower shapes step
 down by partial integration, each step dividing by a shape of size >= 1/2.
-The split: at z = 1.1 the fraction needs 78 iterations and the series 19
-terms, and over shapes in [-1/2, 1/2) the series is within 4.9e-15 of
-50-digit mpmath, the fraction 1.2e-14; from z ~ 1.2 up the series'
-alternating sum cancels (3.8e-14 at z = 2) and the fraction wins.
+The split: at z = 1.1 the fraction needs 74-80 iterations over shapes in
+[-1/2, 0.1] (76 at -0.272) and the series 19 terms, and over shapes in
+[-1/2, 1/2) the series is within 4.9e-15 of 50-digit mpmath, the fraction
+1.2e-14; from z ~ 1.2 up the series' alternating sum cancels (3.8e-14 at
+z = 2) and the fraction wins.
 
 Batch twins of the series, the continued fraction and the downward steps
 evaluate a table's shapes, one per rate, at a numpy array of arguments, its
-ages.  They do the scalar code's arithmetic in the same order, lane by
-lane, and take exp, expm1 and log from ``math`` per element (numpy's own
-may differ from the C library in the last bit), so every lane is bit for
-bit the scalar result.  The split of the arguments between the fraction
-and the series, with ln z and e**z on the series' lanes, is the same at
-every shape up to 0.1, so the batch pair computes it once for all of a
-table's shapes, one per rate.  The fraction gives each lane its own shape,
-and runs once over the lanes of every rate above the split, one rate after
-another: its cost is mostly numpy's fixed cost per iteration, which the
-rates then share.  The series and the downward steps run once per rate:
-stacked, the series was no faster and took more memory.  A batch that fails raises at some failing lane what the scalar
-call raises there, with the lane's index in the caller's array; which lane
-and rate fail first is for the caller to find (the CLI does, for exit 3).
-The twins only converge lanes: a lane leaves the numpy loop at the term or
-iteration where the scalar loop would return.  Each twin first sorts its
-lanes by z, stably, in the order they converge (the fraction's largest z
-first, the series' smallest first), then updates its state in place on the
-window of lanes from the first live one on: a lane that converges is
-recorded and marked dead, the window's start moves past the dead prefix,
-and no iteration copies the live lanes.  Once at most _HANDOFF_LANES lanes
-are live (below that width numpy's fixed cost per iteration exceeds the
-scalar loop's per lane) or the budget is spent, each live lane goes on, in
-the caller's lane order, in the scalar loop itself, resumed from its state;
-a twin given at most _HANDOFF_LANES lanes hands them all to the scalar loop
-at once, before it sorts them or builds any numpy state.  A lane live at the
-budget's end resumes with no iterations left and the scalar loop raises:
-every failure is raised, and worded, by the scalar code.
+ages.  They do the scalar code's arithmetic in the same order, lane by lane,
+and take exp, expm1 and log from ``math`` per element (numpy's own may
+differ from the C library in the last bit), so every lane is bit for bit the
+scalar result.  The split of the arguments between the fraction and the
+series, with ln z and e**z on the series' lanes where the numpy series reads
+them, is the same at every shape up to 0.1, so the batch pair computes it
+once for all of a table's shapes, one per rate.  The fraction gives each
+lane its own shape, and runs once over the lanes of every rate above the
+split, one rate after another: its cost is mostly numpy's fixed cost per
+iteration, which the rates then share.  The series and the downward steps
+run once per rate: stacked, the series was no faster and took more memory.
+A batch that fails raises at some failing lane what the scalar call raises
+there, with the lane's index in the caller's array; which lane and rate fail
+first is for the caller to find (the CLI does, for exit 3).  The twins only
+converge lanes: a lane leaves the numpy loop at the term or iteration where
+the scalar loop would return.  Each twin first sorts its lanes by z, stably,
+in the order they converge (the fraction's largest z first, the series'
+smallest first), then updates its state in place on the window of lanes from
+the first live one on: a lane that converges is recorded and marked dead,
+the window's start moves past the dead prefix, and no iteration copies the
+live lanes.  Once at most _HANDOFF_LANES lanes are live (below that width
+numpy's fixed cost per iteration exceeds the scalar loop's per lane) or the
+budget is spent, each live lane goes on, in the caller's lane order, in the
+scalar loop itself, resumed from its state; a twin given at most
+_HANDOFF_LANES lanes hands them all to the scalar loop at once, before it
+sorts them or builds any numpy state.  A lane live at the budget's end
+resumes with no iterations left and the scalar loop raises: every failure is
+raised, and worded, by the scalar code.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -96,11 +98,11 @@ _MIN_NORMAL = sys.float_info.min
 _CF_MIN_Z = 1.1
 # A batch twin hands its live lanes to the scalar loop once at most this many are
 # left: one numpy iteration costs about as much as this many scalar lane-iterations.
-# Scalar / numpy time on N equal lanes (2-core VM, Python 3.11, best of 7 x 20
-# calls, 2 runs of 3): fraction 0.66-0.71 at N = 32, 0.79-0.83 at 40, 0.93-1.03 at 48;
-# series 0.89-0.96 at 32, 0.82-1.15 at 40, 1.19-1.35 at 48.  The fraction's
+# Scalar / numpy time on N equal lanes (2-core VM, Python 3.11, one core, best of
+# 21 x 20 calls, 2 runs): fraction 0.72-0.75 at N = 32, 0.90-0.95 at 40, 1.13-1.18 at
+# 48; series 0.92-0.94 at 32, 1.12-1.15 at 40, 1.29-1.36 at 48.  The fraction's
 # iteration forms each lane's -i * (i - eta), two array operations more, so it
-# breaks even nearer 48, the series nearer 40.  Re-measure from src at each N,
+# breaks even nearer 43, the series nearer 35.  Re-measure from src at each N,
 # with W = 0 (numpy) and W = 10**6 (scalar):
 #   python3 -m timeit -s "import numpy as np, gmlife.special as sp; sp._HANDOFF_LANES
 #   = W; z = np.full(N, 1.1); e = np.full(N, -0.272)" "sp._upper_cf_array(e, z)"
@@ -229,9 +231,15 @@ def _lower_reg_series(eta: float, z: float) -> float:
 
 
 def _upper_cf(eta: float, z: float, resume=None) -> float:
-    # Modified Lentz continued fraction; returns H such that
-    # Gamma(eta, z) = exp(-z) * z**eta * H.  Converges for any real eta
-    # once z >= max(1, eta + 1).  resume = (i, b, c, d, h) runs iterations i on
+    # Lentz's continued fraction, plain; returns H such that
+    # Gamma(eta, z) = exp(-z) * z**eta * H.  Only z >= eta + 1, z > 0 reach it, at
+    # any real eta, and there no denominator can vanish, so none is floored: with
+    # b_i = z + 2i + 1 - eta and a_i = -i (i - eta), d_i = b_i + a_i/d_(i-1) and
+    # c_i = b_i + a_i/c_(i-1) are >= i + 1, by induction.  Where a_i >= 0 both exceed
+    # b_i >= 2i + 2; where a_i < 0, i > eta and the previous one is >= i, so
+    # a_i/prev >= -(i - eta) and both are >= z + i + 1.  inf and NaN fail |d| < tiny
+    # too.  Only b_0 can round to 0 (at eta >= 2**53, z = eta, where every a_i >= 0),
+    # so the start is guarded.  resume = (i, b, c, d, h) runs iterations i on
     if resume is None:
         b = z + 1.0 - eta
         c = 1.0 / _LENTZ_TINY
@@ -243,13 +251,8 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
     for i in range(start, _MAX_ITER + 1):
         an = -i * (i - eta)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
@@ -259,18 +262,11 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
     )
 
 
-def _lentz_floor(a: np.ndarray) -> None:
-    # _upper_cf's floor, in place: an entry below _LENTZ_TINY in size becomes it.
-    # Written only where one is (nan too, which the floor leaves as it is)
-    if not np.abs(a).min() >= _LENTZ_TINY:
-        a[np.abs(a) < _LENTZ_TINY] = _LENTZ_TINY
-
-
 def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     # _upper_cf at every lane of (eta, z), each lane with its own shape; a lane
     # leaves at the iteration where _upper_cf returns, or goes on in _upper_cf once
     # at most _HANDOFF_LANES are left or the budget is spent.  The largest z
-    # converge first
+    # converge first.  Its shapes are <= 0.1 and its z >= 1.1, so b_0 >= 2 (or inf)
     if z.size <= _HANDOFF_LANES:
         return np.array(_hand_off(_upper_cf, np.arange(z.size), eta, z))
     out = np.empty_like(z)
@@ -278,7 +274,7 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     shape = eta[lanes.order]
     b = z[lanes.order] + 1.0 - shape
     c = np.full(z.size, 1.0 / _LENTZ_TINY)
-    d = np.where(b != 0.0, 1.0 / b, 1.0 / _LENTZ_TINY)
+    d = 1.0 / b
     h, an = d.copy(), np.empty_like(z)
     i = 1
     while lanes.live > _HANDOFF_LANES and i <= _MAX_ITER:
@@ -289,10 +285,8 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
         bw += 2.0
         dw *= aw
         dw += bw
-        _lentz_floor(dw)
         np.divide(aw, cw, out=cw)
         cw += bw
-        _lentz_floor(cw)
         np.divide(1.0, dw, out=dw)
         tw = np.multiply(dw, cw, out=aw)  # delta, in the place of an, now read
         hw *= tw
@@ -358,11 +352,12 @@ def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
     raise ConvergenceError(f"shape-uniform series stalled (s={s}, z={z})")
 
 
-def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray,
-                       e_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _series_pair at every lane of z, given ln z and e**z there; a lane leaves at
-    # the term where _series_pair returns, or goes on in _series_pair once at most
-    # _HANDOFF_LANES are left or the budget is spent.  The smallest z converge first
+def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray | None,
+                       e_z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    # _series_pair at every lane of z, given ln z and e**z there (read only past
+    # _HANDOFF_LANES lanes, so None at fewer); a lane leaves at the term where
+    # _series_pair returns, or goes on in _series_pair once at most _HANDOFF_LANES
+    # are left or the budget is spent.  The smallest z converge first
     if z.size <= _HANDOFF_LANES:
         return np.reshape(_hand_off(_series_pair, np.arange(z.size), np.full(z.size, s), z),
                           (-1, 2)).T
@@ -425,8 +420,9 @@ def _ratio_pair_array(etas: list, z: np.ndarray) -> list:
     # all <= _CF_MIN_Z - 1; lane for lane bit-identical.  The split of z, the same at
     # every such shape, is formed once: the continued fraction runs once, over every
     # shape's lanes from _CF_MIN_Z up, and the series and the downward steps per shape
-    # below it, with ln z and e**z shared.  Where some shape's pair fails, this
-    # raises, at a lane of z, what exp_scaled_upper_inc_gamma raises there at that shape
+    # below it, with ln z and e**z shared where the numpy series reads them.  Where
+    # some shape's pair fails, this raises, at a lane of z, what
+    # exp_scaled_upper_inc_gamma raises there at that shape
     ok = (z > 0.0) & (z < math.inf)  # nan fails too
     # exp_scaled_upper_inc_gamma's argument checks first: a lane at z = 0 is on
     # neither side of the split
@@ -435,8 +431,9 @@ def _ratio_pair_array(etas: list, z: np.ndarray) -> list:
             lane = ok.argmin() if math.isfinite(eta) else 0
             _on_lanes([lane], exp_scaled_upper_inc_gamma, eta, float(z[lane]))
     cf, low = np.flatnonzero(z >= _CF_MIN_Z), np.flatnonzero(ok & (z < _CF_MIN_Z))
-    z_low = z[low]
-    ln_z, e_z = _per_element(math.log, z_low), _per_element(math.exp, z_low)
+    z_low, ln_z, e_z = z[low], None, None
+    if low.size > _HANDOFF_LANES:  # fewer lanes go to _series_pair, which forms its own
+        ln_z, e_z = _per_element(math.log, z_low), _per_element(math.exp, z_low)
     pairs = []
     with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
         try:  # one fraction over every shape's lanes above the split, shape-major

@@ -666,7 +666,8 @@ class TestOneEngine:
         # a batch twin given at most _HANDOFF_LANES lanes runs them all in the scalar
         # loop before it sorts them: a one-age table (the series at age 40, the
         # fraction at 95) and a one-row CLI run give the scalar API's bits without
-        # building _Lanes.  At width 0 every twin builds it, so this can fail
+        # building _Lanes or forming ln z and e**z per element.  At width 0 every twin
+        # builds _Lanes, so this can fail
         def no_lanes(key):
             raise AssertionError("lane state built for a small table")
 
@@ -674,6 +675,9 @@ class TestOneEngine:
             return (contextlib.nullcontext() if width else
                     pytest.raises(AssertionError, match="lane state"))
 
+        real, per_element = gmlife.special._per_element, []
+        monkeypatch.setattr(gmlife.special, "_per_element",
+                            lambda *args: per_element.append(args) or real(*args))
         monkeypatch.setattr(gmlife.special, "_Lanes", no_lanes)
         monkeypatch.setattr(gmlife.special, "_HANDOFF_LANES", width)
         p, delta = GmParams(0.001, 0.000012, 0.101314), 0.026559
@@ -686,6 +690,7 @@ class TestOneEngine:
                 table = life_table(p, delta, [x])
                 assert {k: v.tolist() for k, v in table.items()} == {
                     k: [v] for k, v in want.items()}, x
+            assert not (width and per_element), x
             with outcome():
                 code, out, _ = run_cli(capsys, "--x-min", repr(x), "--x-max", repr(x),
                                        "--step", "1", "--double-rate", "--diagnostics",
@@ -930,6 +935,32 @@ class TestExitCodes:
             err = capsys.readouterr().err
             want = scalar_api_failure(*case)
             assert code == 3 and err == want, (err, want)
+
+    def test_an_oracle_failure_names_the_earliest_failing_row(self, capsys, monkeypatch):
+        # where every closed form of a row returns, the row's oracle error is named:
+        # the Monte-Carlo's at index 3, though the quadrature's at index 7 is raised
+        # first and the Monte-Carlo comes last in a row
+        xs = gmlife.cli._age_grid(20.0, 42.5, 2.5)
+
+        def failing_at(name, at, error):
+            real = getattr(gmlife.oracle, name)
+
+            def table(*args, **kwargs):  # raises at the lane of xs[at] where there is one
+                lane = np.flatnonzero(next(a for a in args if isinstance(a, np.ndarray))
+                                      == xs[at])
+                if lane.size:
+                    raise gmlife.special._at_lane(error(), lane[0])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(gmlife.oracle, name, table)
+
+        failing_at("integrate_m_table", 7,
+                   lambda: ConvergenceError("integrand does not decay; check the basis"))
+        failing_at("mc_remaining_life_table", 3, lambda: OverflowError("math range error"))
+        code, out, err = run_cli(capsys, "--x-min", "20", "--x-max", "42.5", "--step", "2.5",
+                                 "--verify")
+        assert xs.size == 10 and (code, out) == (3, "")
+        assert err == f"gmlife: numerical failure at age {xs[3]:g}: math range error\n"
 
     @pytest.mark.parametrize("width", [0, 40, 10**6])
     def test_a_row_fails_in_column_order(self, capsys, monkeypatch, width):

@@ -1,4 +1,5 @@
-"""Package-wide rules: the public names, the error texts and the lazy imports."""
+"""Package-wide rules: the public names, the error texts, the lazy imports and
+the names the benchmark's tracer patches."""
 
 import ast
 import json
@@ -8,6 +9,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import gmlife
+import gmlife.cli
 from gmlife import life, mortality, oracle, special
 
 from test_cli import REMARK_FLAGS, src_env
@@ -76,3 +78,17 @@ def test_the_pool_and_the_formatter_load_only_when_used():
                             "--double-rate", "--diagnostics"]
     cpus, futures, formatting = imports_of(table)
     assert (futures, formatting) == (cpus > 1, True)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(monkeypatch):
+    # perfbench/run.py --trace wraps gmlife's cross-module names and reads a time for
+    # each layer: a cleanup that drops one of those names, or stops calling it, ends
+    # that run in a KeyError while every other test passes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracing.run_probes(tracer)
+    tracing.layer_metrics(tracer, 1.0, tracer, 1.0, 1, 0.0)
+    for name in ("special.product", "mortality.survival", "mortality.mortality_rate"):
+        assert tracer.stats[name][0] > 0, name
+    assert gmlife.cli.survival is mortality.survival  # the patches are undone

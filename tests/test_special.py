@@ -8,13 +8,16 @@ ln_gamma.  The quadrature-equivalence checks run a small self-contained
 Simpson integrator at test time; it shares no code with the library.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gmlife import life_table, special
+from gmlife.mortality import GmParams
 from gmlife.special import (
     ConvergenceError,
     exp_scaled_upper_inc_gamma,
@@ -386,3 +389,64 @@ def test_iteration_cap_is_reported(monkeypatch):
     for z in (40.0, 0.5):  # the continued fraction, then the lower series
         with pytest.raises(ConvergenceError):
             special_mod.gamma_cdf(z, 3.0)
+
+
+FRACTION_CALLERS = {
+    "gamma_cdf": lambda eta, z: gamma_cdf(z, eta),
+    "upper_inc_gamma_general": upper_inc_gamma_general,
+    "exp_scaled_upper_inc_gamma": exp_scaled_upper_inc_gamma,
+    "exp_scaled_upper_inc_gamma_pair": lambda eta, z: exp_scaled_upper_inc_gamma(
+        eta, z, pair=True),
+}
+# shapes from -600 up: subnormal, on both sides of the split at 1/2 and of the
+# fraction's shapes up to 0.1, and about 2**53, where z + 1 - eta rounds to 0 at z = eta
+DOMAIN_SHAPES = st.one_of(
+    st.sampled_from([-600.0, -0.272, -5e-324, 5e-324, 1e-310, 0.1, 0.3, 0.49, 0.5,
+                     2.0**53 - 1.0, 2.0**53, 2.0**53 + 2.0, 1e17, 1e300]),
+    st.floats(-600.0, 1e300))
+# arguments at eta + 1, just above it, and at the batch split's 1.1
+DOMAIN_ARGS = {
+    "eta + 1": lambda eta: eta + 1.0,
+    "above": lambda eta: math.nextafter(eta + 1.0, math.inf),
+    "1.1": lambda eta: 1.1,
+}
+
+
+def test_the_fraction_runs_only_where_no_denominator_can_vanish(monkeypatch):
+    # _upper_cf floors no Lentz denominator; its comment proves none can vanish where
+    # z >= eta + 1 and z > 0.  Every route in must stay there, at every call and every
+    # lane: the special functions, and the batch tables at the numpy and the default
+    # handoff widths
+    cf, cf_array, calls = special._upper_cf, special._upper_cf_array, set()
+
+    def checked(eta, z, resume=None):
+        calls.add("scalar")
+        assert z >= eta + 1.0 and z > 0.0, (eta, z)
+        return cf(eta, z, resume)
+
+    def checked_array(eta, z):
+        calls.add("array")
+        bad = np.flatnonzero(~((z >= eta + 1.0) & (z > 0.0)))
+        assert not bad.size, (eta[bad[0]], z[bad[0]])
+        return cf_array(eta, z)
+
+    monkeypatch.setattr(special, "_upper_cf", checked)
+    monkeypatch.setattr(special, "_upper_cf_array", checked_array)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(FRACTION_CALLERS)), DOMAIN_SHAPES,
+           st.sampled_from(sorted(DOMAIN_ARGS)))
+    @example("exp_scaled_upper_inc_gamma_pair", 0.3, "1.1")
+    def sweep(name, eta, arg):
+        with contextlib.suppress(ValueError, OverflowError, ConvergenceError):
+            FRACTION_CALLERS[name](eta, DOMAIN_ARGS[arg](eta))
+
+    sweep()
+    bases = [(GmParams(0.001, 0.000012, 0.101314), 0.026559),
+             (GmParams(0.15, 3e-4, 0.08), 0.05), (GmParams(0.03, 1e-4, 0.1), 0.5)]
+    for width in (0, special._HANDOFF_LANES):
+        monkeypatch.setattr(special, "_HANDOFF_LANES", width)
+        for params, delta in bases:
+            for rate in (0.0, delta, 2.0 * delta):
+                life_table(params, rate, np.arange(0.0, 130.0, 0.25))
+    assert calls == {"scalar", "array"}
