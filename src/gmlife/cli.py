@@ -157,9 +157,6 @@ def _validate(args) -> GmParams:
             life.positive_shape_check(params, args.delta)
         except (ValueError, OverflowError) as exc:
             raise _UsageError(str(exc)) from exc
-        if args.alpha + args.delta <= 0.0:
-            raise _UsageError("--diagnostics needs alpha + delta > 0 (ageing factor "
-                              "is undefined)")
     return params
 
 

@@ -72,7 +72,7 @@ from .mortality import (GmParams, _check_age, _check_ages, _check_args,
                         _discounted_survival, _discounted_survival_array, _finite_hazard,
                         _finite_hazards, _gamma_x, _gamma_xs, _senescent_exponent_array)
 from .mortality import survival  # noqa: F401 (perfbench/tracing.py wraps life.survival)
-from .special import (_on_lanes, _per_element, _ratio_pair_array,
+from .special import (_check_lanes, _on_lanes, _per_element, _ratio_pair_array,
                       exp_scaled_upper_inc_gamma)
 
 __all__ = [
@@ -150,12 +150,8 @@ def ageing_factor(params: GmParams, delta: float, x: float) -> float:
     """The ageing drag on the annuity: a_bar(x) = (1 - factor) / (alpha + delta).
 
     Zero for beta = 0 (no senescence), approaching 1 as survival vanishes.
-    Undefined when alpha + delta = 0, since the defining relation
-    degenerates there.
     """
     _check_args(params, delta, x)
-    if params.alpha + delta == 0.0:
-        raise ValueError("ageing factor is undefined when alpha + delta = 0")
     return _evaluate(params, params.alpha + delta, x)[1]
 
 
@@ -212,13 +208,11 @@ def life_table(params: GmParams, delta: float, xs) -> dict[str, np.ndarray]:
     Returns arrays keyed D, N, M, a_bar and ageing_factor, each bit for bit
     what :func:`commutation_row`, :func:`annuity` and :func:`ageing_factor`
     give at that age (at delta = 0, D is the survival l(x) and a_bar is
-    e_x).  One exception: at alpha + delta = 0, where :func:`ageing_factor`
-    raises ValueError, the ageing_factor column holds the pair's xi, which is
-    1 to within rounding there.  The gamma product is one numpy pass over all
-    ages, since the shape is fixed at one rate.  Where the scalar functions
-    raise at some age (OverflowError, ConvergenceError or ValueError), this
-    raises too, and the exception's ``lane`` attribute is the index in xs of
-    an age at which :func:`commutation_row` raises the same type and text.
+    e_x).  The gamma product is one numpy pass over all ages, since the
+    shape is fixed at one rate.  Where the scalar functions raise at some age
+    (OverflowError, ConvergenceError or ValueError), this raises too, and the
+    exception's ``lane`` attribute is the index in xs of an age at which
+    :func:`commutation_row` raises the same type and text.
     """
     return _life_tables(params, (delta,), xs)[1][0]
 
@@ -248,9 +242,7 @@ def _life_tables(params: GmParams, rates: tuple[float, ...],
             pairs = _ratio_pair_array([-(a / gam) for a in a_values], z)
             for a_bar, xi in pairs:  # (f, xi), made (a_bar, xi) in place
                 a_bar /= gam
-                overflowed = np.flatnonzero(~np.isfinite(a_bar))
-                if overflowed.size:  # _evaluate raises at each such lane; name the first
-                    _on_lanes(overflowed, _finite_a_bar, float(a_bar[overflowed[0]]))
+                _check_lanes(np.isfinite(a_bar), _finite_a_bar, a_bar)
                 xi[xi < 0.0] = 0.0
                 xi[xi > 1.0] = 1.0
         else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _on_lanes, _per_element
+from .special import _check_lanes, _per_element
 
 __all__ = ["GmParams", "survival", "mortality_rate", "mortality_rates", "cdf"]
 
@@ -80,9 +80,7 @@ def _finite_hazard(v: float) -> float:
 
 def _finite_hazards(v: np.ndarray) -> np.ndarray:
     # _finite_hazard at every lane of v, raising at the first lane that overflows
-    over = np.flatnonzero(v == math.inf)
-    if over.size:
-        _on_lanes(over, _finite_hazard, math.inf)
+    _check_lanes(v != math.inf, _finite_hazard, v)
     return v
 
 
@@ -92,9 +90,11 @@ def _check_age(x: float) -> None:
 
 
 def _check_ages(xs) -> np.ndarray:
+    # _check_age at every age of a 1-D array, raising at the first bad one
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or not np.all((xs >= 0.0) & (xs < math.inf)):
-        raise ValueError("ages must be a 1-D array of finite values >= 0")
+    if xs.ndim != 1:
+        raise ValueError(f"ages must be a 1-D array, got {xs.ndim} dimensions")
+    _check_lanes((xs >= 0.0) & (xs < math.inf), _check_age, xs)
     return xs
 
 

@@ -59,9 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import (GmParams, _check_age, _check_ages, _check_args,
+from .mortality import (GmParams, _check_ages, _check_args,
                         _discounted_survival, _finite_hazard, _gamma_x, _gamma_xs)
-from .special import ConvergenceError, _at_lane, _on_lanes, _per_element
+from .special import ConvergenceError, _at_lane, _check_lanes, _on_lanes, _per_element
 
 __all__ = [
     "QuadratureResult",
@@ -211,7 +211,6 @@ def integrate_survival(
     estimated absolute error of the returned value is at most tol, or 4 ulps
     of the value where tol is finer than that.
     """
-    _check_age(x)
     return _first_lane(integrate_survival_table(params, delta, [x], tol))
 
 
@@ -244,7 +243,6 @@ def integrate_m(
     bounds the estimated absolute error of the final value (or 4 ulps of
     the normalized integral, as in :func:`integrate_survival`).
     """
-    _check_age(x)
     return _first_lane(integrate_m_table(params, delta, [x], tol))
 
 
@@ -266,9 +264,7 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     if beta != 0.0:
         ln_d = ln_d - (beta / gam) * np.expm1(gam * all_xs)
     d_x = np.exp(ln_d)
-    undefined = np.flatnonzero(np.isnan(d_x))
-    if undefined.size:
-        _on_lanes(undefined, _discounted_survival, params, delta, float(all_xs[undefined[0]]))
+    _check_lanes(~np.isnan(d_x), lambda x: _discounted_survival(params, delta, x), all_xs)
     # where D(x) underflows to 0, so does D(x) times the integral, whatever the
     # integral is: such lanes run no quadrature and return 0 with 0 evaluations
     live = np.flatnonzero(d_x > 0.0)
@@ -304,9 +300,13 @@ def _check_inputs(params: GmParams, delta: float, xs, tol) -> tuple[np.ndarray, 
     if params.alpha + params.beta + delta <= 0.0:
         raise ValueError("need alpha + beta + delta > 0 for a convergent integral")
     tol = np.full(xs.shape, tol, dtype=float)
-    if not np.all(tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {float(tol[~(tol > 0.0)][0])!r}")
+    _check_lanes(tol > 0.0, _check_tol, tol)
     return xs, tol
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # nan fails too
+        raise ValueError(f"tol must be > 0, got {tol!r}")
 
 
 def _age_free_draws(params: GmParams, n: int,
@@ -375,7 +375,6 @@ def mc_remaining_life(
     distributed as the remaining lifetime of a survivor to x, so no
     rejection step is needed.
     """
-    _check_age(x)
     return _first_lane(mc_remaining_life_table(params, [x], n, rng))
 
 

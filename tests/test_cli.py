@@ -610,10 +610,12 @@ class TestDoubleRateAndDiagnostics:
 class TestOneEngine:
     def test_rows_equal_scalar_api_bit_for_bit(self, capsys):
         # the worked basis crosses z = 1 at age 89.24; the second basis has
-        # shape -1.5 and the third no senescence
+        # shape -1.5, the third no senescence, and the fourth alpha + delta = 0,
+        # where the ageing factor is 1 to within rounding and the shape is 1
         bases = [(GmParams(0.001, 0.000012, 0.101314), 0.026559),
                  (GmParams(0.15, 3e-4, 0.08), 0.05),
-                 (GmParams(0.01, 0.0, 0.1), 0.03)]
+                 (GmParams(0.01, 0.0, 0.1), 0.03),
+                 (GmParams(0.0, 0.000012, 0.101314), 0.0)]
         for p, delta in bases:
             code = main(["--alpha", repr(p.alpha), "--beta", repr(p.beta),
                          "--gamma", repr(p.gamma_exp), "--delta", repr(delta),
@@ -634,6 +636,7 @@ class TestOneEngine:
                 assert row["ageing_factor"] == ageing_factor(p, delta, x), (p, x)
                 assert row["l"] == survival(p, x), (p, x)
                 assert row["mu"] == mortality_rate(p, x), (p, x)
+                assert row["shape"] == positive_shape_check(p, delta), (p, x)
 
     def test_one_engine_evaluation_per_table(self, capsys, monkeypatch):
         real = gmlife.life._ratio_pair_array
@@ -855,10 +858,8 @@ class TestExitCodes:
                                 "--step", "1"],
             REMARK_FLAGS[:6] + ["--delta", "nan", "--x-min", "0", "--x-max", "1",
                                 "--step", "1"],
-            # --diagnostics needs a shape, and an ageing factor
+            # --diagnostics needs a shape
             ["--alpha", "0.01", "--beta", "0", "--gamma", "0", "--delta", "0.03",
-             "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
-            ["--alpha", "0", "--beta", "0.000012", "--gamma", "0.101314", "--delta", "0",
              "--x-min", "0", "--x-max", "1", "--step", "1", "--diagnostics"],
             # the shape 1 - (alpha + delta)/gamma overflows to -inf
             ["--alpha", "1", "--beta", "0", "--gamma", "5e-324", "--delta", "0",

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmlife.oracle as oracle_mod
-from gmlife.life import annuity, commutation_d, commutation_m
-from gmlife.mortality import GmParams, mortality_rate
+from gmlife.life import annuity, commutation_d, commutation_m, commutation_row, life_table
+from gmlife.mortality import GmParams, mortality_rate, mortality_rates
 from gmlife.oracle import (
     integrate_m,
     integrate_m_table,
@@ -284,13 +284,39 @@ def test_mc_fails_where_the_draws_overflow():
             params, xs[:lane], 20_000, np.random.default_rng(0)).mean.sum())
 
 
+# each batch entry point as a call on its ages, beside its scalar call on one age
+BATCH_AND_SCALAR = [
+    (lambda xs: life_table(BASIS, DELTA, xs), lambda x: commutation_row(BASIS, DELTA, x)),
+    (lambda xs: mortality_rates(BASIS, xs), lambda x: mortality_rate(BASIS, x)),
+    (lambda xs: integrate_survival_table(BASIS, DELTA, xs),
+     lambda x: integrate_survival(BASIS, DELTA, x)),
+    (lambda xs: integrate_m_table(BASIS, DELTA, xs), lambda x: integrate_m(BASIS, DELTA, x)),
+    (lambda xs: mc_remaining_life_table(BASIS, xs, 1000, np.random.default_rng(0)),
+     lambda x: mc_remaining_life(BASIS, x, 1000, np.random.default_rng(0))),
+]
+
+
 def test_table_rejects_what_the_scalar_call_rejects():
-    for table_fn, _ in PAIRS:
-        for bad in ([0.0, -1.0], [0.0, math.nan], [[0.0, 1.0]]):
-            with pytest.raises(ValueError):
-                table_fn(BASIS, DELTA, bad)
-        with pytest.raises(ValueError):
-            table_fn(BASIS, DELTA, [0.0, 1.0], tol=np.array([1e-9, 0.0]))
+    # a bad age fails at its lane, the first bad one, with the scalar call's error
+    for table, scalar in BATCH_AND_SCALAR:
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError) as exc:
+                table([0.0, 1.0, bad, -2.0])
+            with pytest.raises(ValueError) as want:
+                scalar(bad)
+            assert str(exc.value) == str(want.value)
+            assert str(exc.value) == f"age must be finite and >= 0, got {bad!r}"
+            assert exc.value.lane == 2
+        with pytest.raises(ValueError, match="1-D"):
+            table([[0.0, 1.0]])
+    for table_fn, scalar_fn in PAIRS:
+        # so does a per-age tolerance that is not > 0
+        with pytest.raises(ValueError) as exc:
+            table_fn(BASIS, DELTA, [0.0, 1.0, 2.0], tol=np.array([1e-9, 1e-9, 0.0]))
+        with pytest.raises(ValueError) as want:
+            scalar_fn(BASIS, DELTA, 2.0, tol=0.0)
+        assert str(exc.value) == str(want.value) == "tol must be > 0, got 0.0"
+        assert exc.value.lane == 2
         with pytest.raises(ValueError):
             table_fn(GmParams(0.0, 0.0, 0.1), 0.0, [0.0])
         with pytest.raises(ValueError):

@@ -240,6 +240,16 @@ class TestGammaCdf:
         assert 0.0 <= p <= 1.0
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
+    def test_stops_near_the_median_of_a_large_shape(self):
+        # where the docstring says each loop runs out of its 500-iteration budget
+        assert 0.5 < gamma_cdf(3988.0, 3988.0) < 0.51
+        with pytest.raises(ConvergenceError, match="series stalled"):
+            gamma_cdf(3990.0, 3990.0)
+        assert 0.5 < gamma_cdf(10001.0, 1e4) < 0.51
+        assert 0.5 < gamma_cdf(164001.0, 164000.0) < 0.51
+        with pytest.raises(ConvergenceError, match="continued fraction stalled"):
+            gamma_cdf(200001.0, 2e5)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             gamma_cdf(-0.1, 1.0)
