@@ -220,18 +220,25 @@ class TestAgeingFactor:
             1.0 - a * q.value, rel=1e-9, abs=0
         )
 
-    def test_without_hazard_or_interest_is_the_table_column(self):
-        # at alpha + delta = 0 the factor is e**z Gamma(1, z) = 1: exactly 1 above the
-        # split (z >= 1.1 from age ~93 here), 1 to within rounding below it, and the
-        # scalar call is the table's column bit for bit on both sides, on the numpy
-        # twins' lanes (300 ages) and the scalar loop's (3)
+    def test_undefined_without_hazard_or_interest(self):
+        # the factor once raised "undefined" at alpha + delta = 0; there it is
+        # e**z Gamma(1, z) = 1: exactly 1 above the split (z >= 1.1 from age ~93
+        # here), 1 to within rounding below it
+        params = GmParams(0.0, 1e-5, 0.1)
+        for xs in (np.arange(0.0, 150.0, 0.5), np.array([0.0, 50.0, 120.0])):
+            scalar = np.array([ageing_factor(params, 0.0, x) for x in xs.tolist()])
+            assert np.all(scalar[xs >= 94.0] == 1.0)
+            assert np.all((scalar >= 1.0 - 1e-15) & (scalar <= 1.0)), scalar
+
+    def test_table_column_where_the_scalar_is_undefined(self):
+        # at alpha + delta = 0 the scalar call is the table's column bit for bit, on
+        # both sides of the split, on the numpy twins' lanes (300 ages) and the
+        # scalar loop's (3)
         params = GmParams(0.0, 1e-5, 0.1)
         for xs in (np.arange(0.0, 150.0, 0.5), np.array([0.0, 50.0, 120.0])):
             column = life_table(params, 0.0, xs)["ageing_factor"]
             scalar = np.array([ageing_factor(params, 0.0, x) for x in xs.tolist()])
             assert scalar.tobytes() == column.tobytes()
-            assert np.all(scalar[xs >= 94.0] == 1.0)
-            assert np.all((scalar >= 1.0 - 1e-15) & (scalar <= 1.0)), scalar
 
 
 class TestCommutationD:
