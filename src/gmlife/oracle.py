@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mortality import (GmParams, _check_ages, _check_args,
-                        _discounted_survival, _finite_hazard, _gamma_x, _gamma_xs)
+from .mortality import (GmParams, _check_ages, _check_args, _discounted_survival,
+                        _finite_hazard, _finite_hazards, _gamma_x, _gamma_xs)
 from .special import ConvergenceError, _at_lane, _check_lanes, _on_lanes, _per_element
 
 __all__ = [
@@ -187,12 +187,14 @@ def _level(f, upper: np.ndarray, rows: np.ndarray, panels: int) -> np.ndarray:
 
 def _ln_discounted_survival_ratio(params: GmParams, delta: float, xs: np.ndarray):
     # (t, rows) -> ln(e**(-delta*t) * l(x+t)/l(x)) at the ages xs[rows], which starts
-    # at exactly 0
+    # at exactly 0; where beta e**(gamma x) / gamma overflows, raises what annuity
+    # raises there
     a = params.alpha + delta
     if params.beta == 0.0:
         return lambda t, rows: -a * t
     gam = params.gamma_exp
-    bg = (params.beta * _per_element(math.exp, _gamma_xs(params, xs)) / gam)[:, None]
+    bg = params.beta * _per_element(math.exp, _gamma_xs(params, xs)) / gam
+    bg = _finite_hazards(bg)[:, None]
     return lambda t, rows: -a * t - bg[rows] * np.expm1(gam * t)
 
 
@@ -270,7 +272,7 @@ def integrate_m_table(params: GmParams, delta: float, xs, tol=1e-10) -> Quadratu
     live = np.flatnonzero(d_x > 0.0)
     xs = all_xs[live]
 
-    ln_ratio = _ln_discounted_survival_ratio(params, delta, xs)
+    ln_ratio = _on_lanes(live, _ln_discounted_survival_ratio, params, delta, xs)
     if beta == 0.0:
         def f(t, rows):
             return alpha * np.exp(ln_ratio(t, rows))

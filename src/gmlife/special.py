@@ -47,14 +47,13 @@ in the order they converge (the fraction's largest z first, the series'
 smallest first), then updates its state in place on the window of lanes from
 the first live one on: a lane that converges is recorded and marked dead,
 the window's start moves past the dead prefix, and no iteration copies the
-live lanes.  Once at most _HANDOFF_LANES lanes are live (below that width
-numpy's fixed cost per iteration exceeds the scalar loop's per lane) or the
-budget is spent, each live lane goes on, in the caller's lane order, in the
-scalar loop itself, resumed from its state; a twin given at most
-_HANDOFF_LANES lanes hands them all to the scalar loop at once, before it
-sorts them or builds any numpy state.  A lane live at the budget's end
-resumes with no iterations left and the scalar loop raises: every failure is
-raised, and worded, by the scalar code.
+live lanes.  A twin given at most _HANDOFF_LANES lanes (below that width
+numpy's fixed cost per iteration exceeds the scalar loop's per lane) runs
+them all in the scalar loop, in lane order, before it sorts them or builds
+any numpy state.  A twin that starts its numpy loop runs it until every lane
+has converged or the budget is spent.  A lane live then is rerun from the
+start in the scalar loop, in lane order, where it stalls again and raises:
+every failure is raised, and worded, by the scalar code.
 
 Accuracy: over 742 shapes in -30..30 (200 of them within 1e-15..1e-2 of a
 pole) and arguments in 1e-10..1e3, within 1e-14 * (1 + |eta ln z|) relative
@@ -96,14 +95,17 @@ _LENTZ_TINY = 1e-300
 _MIN_NORMAL = sys.float_info.min
 # The continued fraction serves z >= max(_CF_MIN_Z, eta + 1); see the module docstring.
 _CF_MIN_Z = 1.1
-# A batch twin hands its live lanes to the scalar loop once at most this many are
-# left: one numpy iteration costs about as much as this many scalar lane-iterations.
-# Scalar / numpy time on N equal lanes (2-core VM, Python 3.11, one core, best of
-# 21 x 20 calls, 2 runs): fraction 0.72-0.75 at N = 32, 0.90-0.95 at 40, 1.13-1.18 at
-# 48; series 0.92-0.94 at 32, 1.12-1.15 at 40, 1.29-1.36 at 48.  The fraction's
+# A batch twin given at most this many lanes runs them all in the scalar loop, and
+# one given more runs its numpy loop to the end.  Scalar / numpy time on N equal
+# lanes (2-core VM, Python 3.11, one core, best of 21 x 20 calls, 2 runs): fraction
+# 0.73-0.75 at N = 32, 0.90-0.93 at 40, 1.05-1.08 at 48, 1.44-1.47 at 64; series
+# 0.89-0.93 at 32, 1.09 at 40, 1.32-1.33 at 48, 1.72-1.77 at 64.  The fraction's
 # iteration forms each lane's -i * (i - eta), two array operations more, so it
-# breaks even nearer 43, the series nearer 35.  Re-measure from src at each N,
-# with W = 0 (numpy) and W = 10**6 (scalar):
+# breaks even nearer 44, the series nearer 36.  On a table, whose lanes converge at
+# different iterations, the fraction's scalar loop wins further up (63 lanes, ages
+# 90-100 step 0.5 at three rates: 0.75 ms, numpy 0.85-0.92) and the series' does not
+# (61 lanes a rate: 0.54 ms, numpy 0.45-0.49).  Re-measure from src at each N, with
+# W = 0 (numpy) and W = 10**6 (scalar):
 #   python3 -m timeit -s "import numpy as np, gmlife.special as sp; sp._HANDOFF_LANES
 #   = W; z = np.full(N, 1.1); e = np.full(N, -0.272)" "sp._upper_cf_array(e, z)"
 #                                                                        (76 iterations)
@@ -142,20 +144,10 @@ def _check_lanes(ok: np.ndarray, check, values: np.ndarray) -> None:
         _on_lanes((lane,), check, float(values[lane]))
 
 
-def _hand_off(loop, lanes: np.ndarray, shape: np.ndarray, z: np.ndarray, start=None,
-              *state) -> list:
-    # loop(shape, z, (start, *state)) at each live lane, in lane order: the scalar
-    # loop's remaining iterations from the lane's shape, argument and state, or with
-    # no start, the whole loop; a lane that stalls raises
-    results = []
-    for lane, shape_lane, z_lane, *lane_state in zip(
-            lanes.tolist(), shape.tolist(), z.tolist(), *(v.tolist() for v in state)):
-        try:
-            results.append(loop(shape_lane, z_lane,
-                                None if start is None else (start, *lane_state)))
-        except ConvergenceError as exc:
-            raise _at_lane(exc, lane)
-    return results
+def _hand_off(loop, lanes: np.ndarray, shape: np.ndarray, z: np.ndarray) -> list:
+    # loop(shape, z) at each lane, in lane order; what a lane raises names that lane
+    return [_on_lanes((lane,), loop, shape_lane, z_lane)
+            for lane, shape_lane, z_lane in zip(lanes.tolist(), shape.tolist(), z.tolist())]
 
 
 class _Lanes:
@@ -181,12 +173,9 @@ class _Lanes:
             self.lo = lo + int(self.alive[lo:].argmax()) if self.live else done.size + lo
         return at
 
-    def remaining(self) -> tuple[np.ndarray, np.ndarray]:
-        # (positions, lanes) of the live lanes, in lane order
-        at = self.lo + np.flatnonzero(self.alive[self.lo:])
-        lane = self.order[at]
-        by_lane = np.argsort(lane)
-        return at[by_lane], lane[by_lane]
+    def remaining(self) -> np.ndarray:
+        # the lanes still live, in lane order
+        return np.sort(self.order[self.alive])
 
 
 def _per_element(fn, a: np.ndarray) -> np.ndarray:
@@ -238,7 +227,7 @@ def _lower_reg_series(eta: float, z: float) -> float:
     raise ConvergenceError(f"lower incomplete gamma series stalled (eta={eta}, z={z})")
 
 
-def _upper_cf(eta: float, z: float, resume=None) -> float:
+def _upper_cf(eta: float, z: float) -> float:
     # Lentz's continued fraction, plain; returns H such that
     # Gamma(eta, z) = exp(-z) * z**eta * H.  Only z >= eta + 1, z > 0 reach it, at
     # any real eta, and there no denominator can vanish, so none is floored: with
@@ -247,16 +236,12 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
     # b_i >= 2i + 2; where a_i < 0, i > eta and the previous one is >= i, so
     # a_i/prev >= -(i - eta) and both are >= z + i + 1.  inf and NaN fail |d| < tiny
     # too.  Only b_0 can round to 0 (at eta >= 2**53, z = eta, where every a_i >= 0),
-    # so the start is guarded.  resume = (i, b, c, d, h) runs iterations i on
-    if resume is None:
-        b = z + 1.0 - eta
-        c = 1.0 / _LENTZ_TINY
-        d = 1.0 / b if b != 0.0 else 1.0 / _LENTZ_TINY
-        h = d
-        start = 1
-    else:
-        start, b, c, d, h = resume
-    for i in range(start, _MAX_ITER + 1):
+    # so the start is guarded
+    b = z + 1.0 - eta
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b if b != 0.0 else 1.0 / _LENTZ_TINY
+    h = d
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - eta)
         b += 2.0
         d = 1.0 / (an * d + b)
@@ -272,9 +257,9 @@ def _upper_cf(eta: float, z: float, resume=None) -> float:
 
 def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     # _upper_cf at every lane of (eta, z), each lane with its own shape; a lane
-    # leaves at the iteration where _upper_cf returns, or goes on in _upper_cf once
-    # at most _HANDOFF_LANES are left or the budget is spent.  The largest z
-    # converge first.  Its shapes are <= 0.1 and its z >= 1.1, so b_0 >= 2 (or inf)
+    # leaves at the iteration where _upper_cf returns, and one live when the budget
+    # is spent stalls again in _upper_cf.  The largest z converge first.  Its
+    # shapes are <= 0.1 and its z >= 1.1, so b_0 >= 2 (or inf)
     if z.size <= _HANDOFF_LANES:
         return np.array(_hand_off(_upper_cf, np.arange(z.size), eta, z))
     out = np.empty_like(z)
@@ -285,7 +270,7 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
     d = 1.0 / b
     h, an = d.copy(), np.empty_like(z)
     i = 1
-    while lanes.live > _HANDOFF_LANES and i <= _MAX_ITER:
+    while lanes.live and i <= _MAX_ITER:
         lo = lanes.lo  # the same arithmetic as _upper_cf, in place on the window
         bw, cw, dw, hw, aw = b[lo:], c[lo:], d[lo:], h[lo:], an[lo:]
         np.subtract(i, shape[lo:], out=aw)  # -i * (i - eta), as a double times -i
@@ -303,8 +288,8 @@ def _upper_cf_array(eta: np.ndarray, z: np.ndarray) -> np.ndarray:
         if done.size:
             out[lanes.order[done]] = h[done]
         i += 1
-    at, lane = lanes.remaining()
-    out[lane] = _hand_off(_upper_cf, lane, eta[lane], z[lane], i, b[at], c[at], d[at], h[at])
+    lane = lanes.remaining()
+    out[lane] = _hand_off(_upper_cf, lane, eta[lane], z[lane])
     return out
 
 
@@ -330,30 +315,26 @@ def gamma_cdf(z: float, eta: float) -> float:
     return 1.0 - q
 
 
-def _series_pair(s: float, z: float, resume=None) -> tuple[float, float]:
+def _series_pair(s: float, z: float) -> tuple[float, float]:
     # (F(s), z F(s + 1)) for s in [-1/2, 1/2), F(eta) = z**-eta e**z Gamma(eta, z):
     #   z**-s Gamma(s, z) = (Gamma(1+s) - 1)/s + Gamma(1+s) expm1(-s ln z)/s - S_1
     #   z**-s Gamma(s + 1, z) = Gamma(1+s) z**-s + S_k
     # with S_c = sum_{k>=1} c (-z)**k / (k! (s+k)), c = 1 or k; all smooth through s = 0.
-    # resume = (k, term, sum_f, sum_g, tol, lead_f, lead_g) runs the terms after k
-    if resume is None:
-        q = 0.0
-        for c in _RGAMMA_TAYLOR:
-            q = q * s + c
-        rgamma = 1.0 + s * q  # 1/Gamma(1+s), and (Gamma(1+s) - 1)/s = -q/rgamma
-        ln_z = math.log(z)
-        y = -s * ln_z
-        # expm1(y)/s is -ln_z to within y/2 where y is 0 or subnormal, and y, rounded
-        # there to an absolute 2**-1074, has lost its digits
-        lead_f = ((math.expm1(y) / s if abs(y) >= _MIN_NORMAL else -ln_z) - q) / rgamma
-        lead_g = math.exp(y) / rgamma
-        # below the split both results exceed lead_g / 16, so this leaves < 1e-15 of either
-        tol = 0.1 * _REL_EPS * lead_g
-        term = 1.0
-        sum_f = sum_g = k = 0.0
-    else:
-        k, term, sum_f, sum_g, tol, lead_f, lead_g = resume
-    for _ in range(int(k), _MAX_ITER):
+    q = 0.0
+    for c in _RGAMMA_TAYLOR:
+        q = q * s + c
+    rgamma = 1.0 + s * q  # 1/Gamma(1+s), and (Gamma(1+s) - 1)/s = -q/rgamma
+    ln_z = math.log(z)
+    y = -s * ln_z
+    # expm1(y)/s is -ln_z to within y/2 where y is 0 or subnormal, and y, rounded
+    # there to an absolute 2**-1074, has lost its digits
+    lead_f = ((math.expm1(y) / s if abs(y) >= _MIN_NORMAL else -ln_z) - q) / rgamma
+    lead_g = math.exp(y) / rgamma
+    # below the split both results exceed lead_g / 16, so this leaves < 1e-15 of either
+    tol = 0.1 * _REL_EPS * lead_g
+    term = 1.0
+    sum_f = sum_g = k = 0.0
+    for _ in range(_MAX_ITER):
         k += 1.0
         term *= -z / k
         u = term / (s + k)
@@ -369,13 +350,13 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray | None,
                        e_z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     # _series_pair at every lane of z, given ln z and e**z there (read only past
     # _HANDOFF_LANES lanes, so None at fewer); a lane leaves at the term where
-    # _series_pair returns, or goes on in _series_pair once at most _HANDOFF_LANES
-    # are left or the budget is spent.  The smallest z converge first
+    # _series_pair returns, and one live when the budget is spent stalls again in
+    # _series_pair.  The smallest z converge first
     if z.size <= _HANDOFF_LANES:
         return np.reshape(_hand_off(_series_pair, np.arange(z.size), np.full(z.size, s), z),
                           (-1, 2)).T
     lanes = _Lanes(z)
-    z, ln_z = z[lanes.order], ln_z[lanes.order]  # e_z stays in lane order
+    z_sorted, ln_z = z[lanes.order], ln_z[lanes.order]  # z and e_z stay in lane order
     q = 0.0
     for c in _RGAMMA_TAYLOR:
         q = q * s + c
@@ -391,11 +372,11 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray | None,
     term, u = np.ones_like(z), np.empty_like(z)
     sum_f, sum_g = np.zeros_like(z), np.zeros_like(z)
     k = 0.0
-    while lanes.live > _HANDOFF_LANES and k < _MAX_ITER:
+    while lanes.live and k < _MAX_ITER:
         lo = lanes.lo  # the same arithmetic as _series_pair, in place on the window
         tw, uw, fw, gw = term[lo:], u[lo:], sum_f[lo:], sum_g[lo:]
         k += 1.0
-        tw *= np.divide(z[lo:], -k, out=uw)  # -z / k, exactly
+        tw *= np.divide(z_sorted[lo:], -k, out=uw)  # -z / k, exactly
         np.divide(tw, s + k, out=uw)
         fw += uw
         uw *= k
@@ -406,10 +387,9 @@ def _series_pair_array(s: float, z: np.ndarray, ln_z: np.ndarray | None,
             lane = lanes.order[done]
             f[lane] = e_z[lane] * (lead_f[done] - sum_f[done])
             g[lane] = e_z[lane] * (lead_g[done] + sum_g[done])
-    at, lane = lanes.remaining()
-    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, lane, np.full(lane.size, s), z[at],
-                                            k, term[at], sum_f[at], sum_g[at], tol[at],
-                                            lead_f[at], lead_g[at]), (-1, 2)).T
+    lane = lanes.remaining()
+    f[lane], g[lane] = np.reshape(_hand_off(_series_pair, lane, np.full(lane.size, s), z[lane]),
+                                  (-1, 2)).T
     return f, g
 
 

@@ -6,9 +6,10 @@ bit for bit equal to it, lane by lane.  These tests are what keeps the two
 from drifting apart: every column on the benchmark grid, then a
 deterministic sweep over the hard regions (near-pole shapes, many downward
 steps, no senescence or no flat hazard, z up to 1e250, grids across the
-series/continued-fraction split at z = 1.1).  The twins finish their last
-few lanes in the scalar loops, so the sweeps check every example at three
-handoff widths: the pure numpy loop, the default, and the pure scalar loop.
+series/continued-fraction split at z = 1.1).  A twin given at most
+``_HANDOFF_LANES`` lanes runs them in the scalar loop, so the sweeps check
+every example at three widths: the pure numpy loop, the default, and the
+pure scalar loop.
 """
 
 import math
@@ -26,8 +27,8 @@ from gmlife.special import ConvergenceError, _ratio_pair, _ratio_pair_array
 BASIS = GmParams(alpha=0.001, beta=0.000012, gamma_exp=0.101314)
 DELTA = 0.026559
 COLUMNS = ("D", "N", "M", "a_bar", "ageing_factor")
-# the twins hand off to the scalar loop at no lanes, at the default width, and at
-# once; a sweep runs each example at every width, since drawing it costs more
+# the twins' entry width: no lanes go straight to the scalar loop, at most the
+# default, or all; a sweep runs each example at every width, since drawing it costs more
 WIDTHS = (0, special._HANDOFF_LANES, 10**6)
 
 
@@ -132,7 +133,7 @@ def tables(draw):
     return params, rate, xs
 
 
-# 200 ages from z = 1.1 to 50: the fraction hands off at iteration 41, at 40 lanes
+# 200 ages from z = 1.1 to 50: the fraction's numpy loop runs all 76 iterations
 MID_LOOP = (BASIS, DELTA, np.linspace(_x_at(1.1, BASIS), _x_at(50.0, BASIS), 200))
 
 
@@ -209,10 +210,23 @@ def test_rates_share_one_grid(case):
                                       f"{name} at rate {r}, width {width}")
 
 
+def test_a_twin_that_starts_its_numpy_loop_finishes_it(monkeypatch):
+    # the benchmark table's rates from one grid: the fraction's 3 x 1,983 lanes and
+    # each rate's series lanes all converge in numpy, and no scalar loop runs
+    calls = {}
+    for name in ("_upper_cf", "_series_pair", "_upper_cf_array", "_series_pair_array"):
+        def counted(*args, loop=getattr(special, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return loop(*args)
+        monkeypatch.setattr(special, name, counted)
+    life._life_tables(BASIS, (DELTA, 0.0, 2.0 * DELTA), 0.0 + np.arange(11_001) * 0.01)
+    assert calls == {"_upper_cf_array": 1, "_series_pair_array": 3}
+
+
 def test_stall_after_the_handoff_names_its_age(monkeypatch):
     # MID_LOOP's ages from z = 50 down to 1.1, with 60 iterations of the fraction:
-    # the default width hands off at iteration 41 and the last 15 lanes stall in
-    # the scalar loop.  The first of them in lane order is named, as at width 0
+    # 14 lanes are live when the numpy loop's budget is spent, and the first of them
+    # in lane order stalls again in the scalar loop and is named, at every width
     params, rate, xs = MID_LOOP
     xs = xs[::-1]
     monkeypatch.setattr(special, "_MAX_ITER", 60)
@@ -233,7 +247,7 @@ def test_stall_after_the_handoff_names_its_age(monkeypatch):
 @example(-0.3, np.geomspace(50.0, 1.1, 200).tolist(), 60)
 @example(-0.3, np.geomspace(1.09, 1e-3, 200).tolist(), 16)
 # at 12 iterations over 200 lanes, the fraction has 127 lanes and the series 43
-# live when the budget is spent: the scalar loop takes them over with none left
+# live when the budget is spent: the first of them stalls again in the scalar loop
 @example(-0.3, np.geomspace(1.1, 50.0, 200).tolist(), 12)
 @example(-0.3, np.geomspace(1e-3, 1.09, 200).tolist(), 12)
 # the twins sort their lanes by z, stably: z descending, all equal on each side of
@@ -247,9 +261,10 @@ def test_ratio_pair_twin_matches_scalar(eta, zs, max_iter):
     # Also shapes whose arguments below the split are over 500 steps from it.  At
     # 12 iterations the fraction stalls near the split, and so does the series
     # (at lane 2 of the example, the second of its lanes below the split).  Over
-    # 200 lanes, 1e-3 to 50, the series and the fraction both hand off mid-loop;
-    # from 50 down to 1.1 at 60 iterations, and from 1.09 down to 1e-3 at 16
-    # terms, lanes stall after the handoff.  Every width names the same lane
+    # 200 lanes, 1e-3 to 50, the series and the fraction both run their numpy loops
+    # to the last lane; from 50 down to 1.1 at 60 iterations, and from 1.09 down to
+    # 1e-3 at 16 terms, 15 and 14 lanes are live when the budget is spent.  Every
+    # width names the same lane
     named = set()
     z = np.array(zs)
     with pytest.MonkeyPatch.context() as mp:

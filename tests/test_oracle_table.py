@@ -267,6 +267,23 @@ def test_an_integrand_that_is_not_finite_fails_its_lane():
         integrate_m(GmParams(0.0, 1e-3, 1e308), 0.0, 0.0)
 
 
+def test_the_quadrature_fails_where_beta_e_gamma_x_overflows():
+    # beta e**(gamma x) / gamma overflows at age 30 of (0, 1e300, 1), where the
+    # survival integrand would start from exp(-inf * 0) = NaN, and at (0, 1e308,
+    # 1e306) and age 1e-306, where D > 0, so M integrates that lane: each raises
+    # what annuity raises, named at its age
+    text = r"beta \* e\*\*\(gamma_exp \* x\) is too large"
+    for (table_fn, scalar_fn), params, xs in (
+            (PAIRS[0], GmParams(0.0, 1e300, 1.0), [1.0, 30.0, 31.0]),
+            (PAIRS[1], GmParams(0.0, 1e308, 1e306), [5.0, 1e-306])):
+        with pytest.raises(OverflowError, match=text) as exc:
+            table_fn(params, 0.0, xs)
+        assert exc.value.lane == 1
+        for fn in (annuity, scalar_fn):
+            with pytest.raises(OverflowError, match=text):
+                fn(params, 0.0, xs[1])
+
+
 def test_mc_fails_where_the_draws_overflow():
     # in units of 1/gamma the draws, or their sum, overflow on a steep basis: at
     # (110, 0.1, 1e308) e_0 is 7.1e-306, and at beta 5e-324 gamma / beta is inf at

@@ -429,10 +429,10 @@ def test_the_fraction_runs_only_where_no_denominator_can_vanish(monkeypatch):
     # handoff widths
     cf, cf_array, calls = special._upper_cf, special._upper_cf_array, set()
 
-    def checked(eta, z, resume=None):
+    def checked(eta, z):
         calls.add("scalar")
         assert z >= eta + 1.0 and z > 0.0, (eta, z)
-        return cf(eta, z, resume)
+        return cf(eta, z)
 
     def checked_array(eta, z):
         calls.add("array")
