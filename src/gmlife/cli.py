@@ -23,9 +23,9 @@ numpy and byte for byte ``"%.15g" % v``, and JSON by one template per row,
 filled with the tokens ``json.dumps`` writes for the block's cells.
 Where the process may run on more than one CPU and the table has more than
 one CSV block, the blocks are formatted on a pool of two threads, since numpy
-releases the GIL in most of the formatter's work; the main thread submits
-them in order, with at most three in flight, and writes each in turn, so the
-output is the same bytes.  JSON blocks, Python string work, stay serial.
+releases the GIL in most of the formatter's work; the main thread hands them
+to ``Executor.map`` a window of blocks at a time and writes each in order, so
+the output is the same bytes.  JSON blocks, Python string work, stay serial.
 ``--verify`` adds one lane-batched
 quadrature per integral over the grid and one Monte-Carlo table, whose ages
 share one seeded draw: a row's ``e_x_mc_dev`` depends only on its age and
@@ -57,7 +57,6 @@ import json
 import math
 import os
 import sys
-from collections import deque
 
 import numpy as np
 
@@ -76,14 +75,15 @@ _MC_SAMPLES = 20_000
 # from the grid, and the batch twins' lane order and window included.  Where
 # every age takes the continued fraction (the worked basis from age 90), the
 # peak is ~330 MB (~246 MB plain): the fraction holds its state for the lanes of
-# all the rates at once.  Emitting
-# on two threads keeps up to _EMIT_WINDOW blocks in flight, a formatter peak of
-# ~8 MB (~4 MB serially) whatever the row count
+# all the rates at once.  Emit holds at most one window of block texts: a
+# formatter peak of ~9 MB on two threads (~4 MB serially) whatever the row count,
+# ~11 MB where each write takes longer than a block's formatting
 _MAX_ROWS = 1_000_000
 _EMIT_BLOCK = 1024  # rows formatted per write
-# blocks in flight on the emit pool: with 2 the table's emit took ~15% longer, and 4
-# was no faster than 3
-_EMIT_WINDOW = 3
+# blocks per Executor.map call on the emit pool.  One thread idles at the end of
+# each window, so the benchmark table's 11 blocks are one: in perfbench's table
+# workload (six 10 s runs each) 16 read a median 271k rows/s, 8 264k and 32 265k
+_EMIT_WINDOW = 16
 _DIFF_COLUMNS = ("a_bar_rel_diff", "m_rel_diff")
 _VERIFY_COLUMNS = _DIFF_COLUMNS + ("e_x_mc_dev",)
 
@@ -274,26 +274,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _write_blocks(block_text, starts: range, out) -> None:
-    # out.write(block_text(start)) for start in starts, in order, with the texts
-    # made on two pool threads and at most _EMIT_WINDOW blocks in flight.  Only this
-    # thread writes.  If a block or a write raises, the blocks not yet started are
-    # dropped and the pool is joined before the error reaches the caller
-    from concurrent.futures import ThreadPoolExecutor  # serial runs never import it
-
-    pending = deque()
-    pool = ThreadPoolExecutor(2, thread_name_prefix="gmlife-emit")
-    try:
-        for start in starts:
-            pending.append(pool.submit(block_text, start))
-            if len(pending) == _EMIT_WINDOW:
-                out.write(pending.popleft().result())
-        for future in pending:
-            out.write(future.result())
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
     # a header, the text of each block of _EMIT_BLOCK rows, and a footer
     fields = list(cols)
@@ -324,11 +304,17 @@ def _emit(cols: dict[str, np.ndarray], fmt: str, out) -> None:
     starts = range(0, cols["x"].size, _EMIT_BLOCK)
     if fmt == "csv" and len(starts) > 1 and _cpu_count() > 1:
         # format_cells releases the GIL in most of its numpy calls; JSON's block is
-        # Python work, which the pool measured slower
-        _write_blocks(block_text, starts, out)
+        # Python work, which the pool measured slower.  map yields the texts in
+        # order and raises a block's error in its place; on a block's error, or a
+        # write's (writelines drops it), it cancels the blocks not yet started, and
+        # the with block joins the threads
+        from concurrent.futures import ThreadPoolExecutor  # serial runs never import it
+
+        with ThreadPoolExecutor(2, thread_name_prefix="gmlife-emit") as pool:
+            for i in range(0, len(starts), _EMIT_WINDOW):
+                out.writelines(pool.map(block_text, starts[i:i + _EMIT_WINDOW]))
     else:
-        for start in starts:
-            out.write(block_text(start))
+        out.writelines(map(block_text, starts))
     out.write(foot)
 
 

@@ -215,10 +215,12 @@ def ln_gamma_fn(eta: float) -> float:
 def _lower_reg_series(eta: float, z: float) -> float:
     # Regularized lower incomplete gamma by power series; needs z < eta + 1.  The
     # series is scaled by eta, so it starts at 1 and Gamma(eta + 1) divides it: no
-    # 1/eta to overflow and no ln Gamma(eta) ~ -ln eta to round in the exponent
+    # 1/eta to overflow and no ln Gamma(eta) ~ -ln eta to round in the exponent.
+    # Near z = eta it needs ~7.5 sqrt(eta) terms (781 at eta = 1e4, 7,413 at 1e6),
+    # so the budget grows with sqrt(eta), up to 20 times _MAX_ITER
     term = total = 1.0
     ap = eta
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_ITER * min(20, max(1, math.ceil(math.sqrt(eta) / 50.0)))):
         ap += 1.0
         term *= z / ap
         total += term
@@ -299,10 +301,11 @@ def gamma_cdf(z: float, eta: float) -> float:
     G(z; eta, 1) = (1/Gamma(eta)) * integral of y**(eta-1) e**-y over [0, z],
     i.e. the CDF of a unit-scale gamma random variable with shape eta.
 
-    Near the median of a large shape a loop runs out of its 500 iterations
-    and raises ConvergenceError: the series at z = eta from eta ~ 3,989 up,
-    the continued fraction at z = eta + 1 from eta ~ 1.64e5 (at every shape
-    from 1.78e5 up).  Life values, whose shapes are <= 0.1, never do.
+    Near the median of a large shape a loop runs out of its budget and
+    raises ConvergenceError: the series, whose budget grows with sqrt(eta)
+    up to 10,000 terms, at z = eta from eta ~ 1.84e6 up; the continued
+    fraction, at 500 iterations, at z = eta + 1 from eta ~ 1.64e5 (at every
+    shape from 1.78e5 up).  Life values, whose shapes are <= 0.1, never do.
     """
     _check_shape_positive(eta)
     if math.isnan(z) or math.isinf(z) or z < 0.0:

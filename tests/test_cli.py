@@ -521,6 +521,85 @@ class TestCsvEmitter:
         assert out.getvalue() == row_writer({k: c[:failing * BLOCK]
                                              for k, c in cols.items()})
 
+    def test_serial_and_threaded_emit_agree_past_one_window(self, monkeypatch):
+        # at two blocks a window, six blocks take three windows on one pool: the
+        # text is the serial loop's and the row writer's, and at most two threads
+        # are started and every one is joined
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(gmlife.cli, "_EMIT_WINDOW", 2)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        cols = mixed_columns(5 * BLOCK + 37)
+        monkeypatch.setattr(gmlife.cli, "_cpu_count", lambda: 1)
+        serial = io.StringIO()
+        gmlife.cli._emit(cols, "csv", serial)
+        assert not started
+        threaded = io.StringIO()
+        assert emit_on_two_cpus(monkeypatch, cols, threaded, Exception) == []
+        assert threaded.getvalue() == serial.getvalue() == row_writer(cols)
+        pool = [t for t in started if t.name.startswith("gmlife-emit")]
+        assert 1 <= len(pool) <= 2
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("failing", [3, 4])
+    def test_a_failing_write_in_a_later_window_leaves_no_thread(self, monkeypatch,
+                                                                failing):
+        # at two blocks a window, the write of the third or the fourth block, both
+        # in the second window, raises: the blocks before it are written, and the
+        # pool is joined before the error reaches the caller
+        class ClosedAfterSomeBlocks(io.StringIO):
+            blocks = 0
+
+            def write(self, text):
+                if not text.startswith("x,"):  # not the header
+                    self.blocks += 1
+                    if self.blocks == failing:
+                        raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(gmlife.cli, "_EMIT_WINDOW", 2)
+        cols = mixed_columns(6 * BLOCK)
+        out = ClosedAfterSomeBlocks()
+        raised = emit_on_two_cpus(monkeypatch, cols, out, BrokenPipeError)
+        assert len(raised) == 1 and out.blocks == failing
+        assert out.getvalue() == row_writer({k: c[:(failing - 1) * BLOCK]
+                                             for k, c in cols.items()})
+
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_a_failing_block_in_a_later_window_leaves_no_thread(self, monkeypatch,
+                                                                failing):
+        # at two blocks a window, formatting the third or the fourth block, both in
+        # the second window, raises on a pool thread: the blocks before it are
+        # written, and the error reaches the caller once the pool is joined
+        monkeypatch.setattr(gmlife.cli, "_EMIT_WINDOW", 2)
+        cols = mixed_columns(6 * BLOCK)
+        real = formatting.format_cells
+
+        def format_cells(cells, seps):
+            if cells[0] == cols["x"][failing * BLOCK]:  # the block's first age
+                raise ArithmeticError(f"block {failing}")
+            return real(cells, seps)
+
+        monkeypatch.setattr(formatting, "format_cells", format_cells)
+        out = io.StringIO()
+        raised = emit_on_two_cpus(monkeypatch, cols, out, ArithmeticError)
+        assert [str(exc) for exc in raised] == [f"block {failing}"]
+        assert out.getvalue() == row_writer({k: c[:failing * BLOCK]
+                                             for k, c in cols.items()})
+
+    @pytest.mark.parametrize("count", [3, None])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count):
+        # where os has no sched_getaffinity (macOS, Windows), the CPUs are the
+        # machine's count, or 1 where that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert gmlife.cli._cpu_count() == (count or 1)
+
     def test_a_closed_pipe_exits_1_quietly(self):
         # `gmlife ... | head -c 100`: the reader goes away after 100 bytes of an
         # 11,001-row table, and gmlife exits 1 with nothing on stderr

@@ -140,8 +140,9 @@ def test_closed_forms_return_no_nan_or_raise(name, alpha, beta, gamma, delta, x)
 # z + 1 - eta rounds to 0: the continued fraction's one guarded start
 @example("gamma_cdf", 1e17, 1e17)
 @example("exp_scaled_upper_inc_gamma", 1e17, 1e17)
-# near the median of a large shape: the series stalls at z = eta from eta ~ 3,989,
-# the fraction at z = eta + 1 from ~1.64e5, and at (1e4, 10001) it returns 0.5053
+# near the median of a large shape: the series converges at z = eta up to eta
+# ~ 1.84e6, the fraction stalls at z = eta + 1 from ~1.64e5, and at (1e4, 10001) it
+# returns 0.5053
 @example("gamma_cdf", 5011.872336272725, 5011.872336272725)
 @example("gamma_cdf", 1e4, 1e4)
 @example("gamma_cdf", 1e4, 10001.0)

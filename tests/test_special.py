@@ -241,10 +241,18 @@ class TestGammaCdf:
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
     def test_stops_near_the_median_of_a_large_shape(self):
-        # where the docstring says each loop runs out of its 500-iteration budget
-        assert 0.5 < gamma_cdf(3988.0, 3988.0) < 0.51
+        # where the docstring says each loop runs out of its budget: the series,
+        # whose budget grows with sqrt(eta), converges at z = eta to within
+        # special's 1e-14 (1 + |eta ln z|) of 40-digit mpmath.gammainc up to
+        # eta ~ 1.84e6 and stalls above; the fraction's 500 iterations stall first
+        for eta, expected in [(3990.0, 0.50210524656598070689),
+                              (1e4, 0.50132980833995520038),
+                              (1e5, 0.50042052211036517669),
+                              (1e6, 0.50013298076087259124)]:
+            bound = 1e-14 * (1.0 + eta * math.log(eta))
+            assert gamma_cdf(eta, eta) == pytest.approx(expected, rel=bound, abs=0), eta
         with pytest.raises(ConvergenceError, match="series stalled"):
-            gamma_cdf(3990.0, 3990.0)
+            gamma_cdf(2e6, 2e6)
         assert 0.5 < gamma_cdf(10001.0, 1e4) < 0.51
         assert 0.5 < gamma_cdf(164001.0, 164000.0) < 0.51
         with pytest.raises(ConvergenceError, match="continued fraction stalled"):
